@@ -1,36 +1,26 @@
 /**
  * @file
- * Microbenchmark of the node inbox and the PR 9 latency paths: the
- * seed mutex+condvar deque (InboxPolicy::MutexQueue) against the
- * bounded lock-free MPSC ring (InboxPolicy::LockFreeRing), plus the
- * reply-bypass and send-coalescing ablations.
+ * Microbenchmark of the RPC round trip every LRC access miss and lock
+ * hand-off pays, on both transport tiers: request and reply each cross
+ * a node inbox (net/inbox.hh) and a service thread.
  *
  * Shapes, all in real (wall-clock) nanoseconds:
- *  - rpc: Endpoint::call round trips between two nodes' app threads —
- *    the service-thread round-trip latency every LRC access miss and
- *    lock hand-off pays. Measured per-iteration, so the table carries
- *    p50/p99 alongside the mean: the bypass mostly compresses the
- *    tail (the reply's futex double hop through the responder's
- *    service thread).
- *  - rpc ablation: the same round trip with the reply bypass forced
- *    off — the reply funnels through the caller's inbox and service
- *    thread like any message.
- *  - fanin: 7 producer threads blasting one consumer — the batched
- *    diff/timestamp request traffic shape, measuring throughput.
- *  - coalesce: bursts of small same-destination one-way messages
- *    (the HomeDiffFlush shape) with send-side coalescing off vs on —
- *    on buffers the burst and ships one framed ring slot per
- *    request boundary.
+ *  - rpc: Endpoint::call round trips between two nodes' app threads
+ *    over the in-process Network — request and reply each cross an
+ *    inbox and a service thread. Measured per iteration, so the table
+ *    carries p50/p99 alongside the mean.
+ *  - rpc socket: the same round trip over a pair of Unix-domain
+ *    SocketTransports.
  *
- * Emits BENCH_net.json (tracked in the repo) so the inbox latency
- * trajectory is visible across PRs. Acceptance bar for this PR: the
- * bypassed rpc round trip beats the committed pre-bypass ring number
- * by >= 1.3x.
+ * Emits BENCH_net.json (tracked in the repo) with a host block (core
+ * count, CPU model, build type), so a number is only compared with
+ * one recorded on the same class of host.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,7 +28,6 @@
 #include "driver/proc_launcher.hh"
 #include "net/endpoint.hh"
 #include "net/network.hh"
-#include "net/serde.hh"
 #include "net/socket_transport.hh"
 
 using namespace dsm;
@@ -52,44 +41,25 @@ struct RpcResult
     double p99Ns;
 };
 
+/** Time @p iters round trips from @p a to node 1 after a warm-up
+ *  (thread creation, first futex round trips). */
 RpcResult
-rpcRoundTrip(InboxPolicy policy, int iters, bool bypass)
+timeCalls(Endpoint &a, int iters)
 {
-    CostModel cm;
-    Network net(2, cm, nullptr, policy);
-    VirtualClock clocks[2];
-    NodeStats stats[2];
-    Endpoint a(net, 0, clocks[0], stats[0]);
-    Endpoint b(net, 1, clocks[1], stats[1]);
-    a.setReplyBypass(bypass);
-    b.setReplyBypass(bypass);
-    b.setHandler([&](Message &msg) {
-        b.reply(msg.src, MsgType::LockGrant, {}, msg.replyToken);
-    });
-    a.setHandler([](Message &) {});
-    a.start();
-    b.start();
-
-    // Warm up the path (thread creation, first futex round trips).
     for (int i = 0; i < 2000; ++i)
         a.call(1, MsgType::LockRequest, {});
 
     std::vector<double> samples(static_cast<std::size_t>(iters));
-    for (int i = 0; i < iters; ++i) {
+    for (double &sample : samples) {
         const auto t0 = std::chrono::steady_clock::now();
         a.call(1, MsgType::LockRequest, {});
         const auto t1 = std::chrono::steady_clock::now();
-        samples[static_cast<std::size_t>(i)] =
-            std::chrono::duration<double, std::nano>(t1 - t0).count();
+        sample = std::chrono::duration<double, std::nano>(t1 - t0).count();
     }
 
-    a.stop();
-    b.stop();
-    net.shutdown();
-
     double sum = 0.0;
-    for (double s : samples)
-        sum += s;
+    for (double sample : samples)
+        sum += sample;
     std::sort(samples.begin(), samples.end());
     RpcResult r;
     r.meanNs = sum / iters;
@@ -98,18 +68,40 @@ rpcRoundTrip(InboxPolicy policy, int iters, bool bypass)
     return r;
 }
 
+RpcResult
+rpcRoundTrip(int iters)
+{
+    CostModel cm;
+    Network net(2, cm);
+    VirtualClock clocks[2];
+    NodeStats stats[2];
+    Endpoint a(net, 0, clocks[0], stats[0]);
+    Endpoint b(net, 1, clocks[1], stats[1]);
+    b.setHandler([&](Message &msg) {
+        b.reply(msg.src, MsgType::LockGrant, {}, msg.replyToken);
+    });
+    a.setHandler([](Message &) {});
+    a.start();
+    b.start();
+    const RpcResult r = timeCalls(a, iters);
+    a.stop();
+    b.stop();
+    net.shutdown();
+    return r;
+}
+
 /** The tier-1 point of the rpc shape: the same Endpoint::call round
  *  trip, but over a pair of Unix-domain SocketTransports — what a
- *  DSM_TRANSPORT=socket cluster pays per miss instead of a ring push.
- *  Both transports live in this process (the frame path, reader
- *  threads and receiver-side bypass are identical to the forked
- *  layout; only the fork is skipped). */
+ *  DSM_TRANSPORT=socket cluster pays per miss instead of an
+ *  in-process push. Both transports live in this process (the frame
+ *  path and reader threads are identical to the forked layout; only
+ *  the fork is skipped). */
 RpcResult
-rpcRoundTripSocket(int iters, bool bypass)
+rpcRoundTripSocket(int iters)
 {
     CostModel cm;
     const std::string dir = makeRendezvousDir();
-    std::vector<double> samples(static_cast<std::size_t>(iters));
+    RpcResult r;
     {
         SocketTransport ta(0, 2, cm, SocketKind::Unix, dir);
         SocketTransport tb(1, 2, cm, SocketKind::Unix, dir);
@@ -121,26 +113,13 @@ rpcRoundTripSocket(int iters, bool bypass)
         NodeStats stats[2];
         Endpoint a(ta, 0, clocks[0], stats[0]);
         Endpoint b(tb, 1, clocks[1], stats[1]);
-        a.setReplyBypass(bypass);
-        b.setReplyBypass(bypass);
         b.setHandler([&](Message &msg) {
             b.reply(msg.src, MsgType::LockGrant, {}, msg.replyToken);
         });
         a.setHandler([](Message &) {});
         a.start();
         b.start();
-
-        for (int i = 0; i < 2000; ++i)
-            a.call(1, MsgType::LockRequest, {});
-
-        for (int i = 0; i < iters; ++i) {
-            const auto t0 = std::chrono::steady_clock::now();
-            a.call(1, MsgType::LockRequest, {});
-            const auto t1 = std::chrono::steady_clock::now();
-            samples[static_cast<std::size_t>(i)] =
-                std::chrono::duration<double, std::nano>(t1 - t0)
-                    .count();
-        }
+        r = timeCalls(a, iters);
 
         std::thread finish_b([&] { tb.finishRun(); });
         ta.finishRun();
@@ -149,111 +128,23 @@ rpcRoundTripSocket(int iters, bool bypass)
         b.stop();
     }
     removeRendezvousDir(dir);
-
-    double sum = 0.0;
-    for (double s : samples)
-        sum += s;
-    std::sort(samples.begin(), samples.end());
-    RpcResult r;
-    r.meanNs = sum / iters;
-    r.p50Ns = samples[samples.size() / 2];
-    r.p99Ns = samples[samples.size() * 99 / 100];
     return r;
 }
 
-double
-faninNsPerMsg(InboxPolicy policy, int producers, int per_producer)
+/** First "model name" line of /proc/cpuinfo, or "unknown". */
+std::string
+cpuModel()
 {
-    CostModel cm;
-    Network net(producers + 1, cm, nullptr, policy);
-    const int total = producers * per_producer;
-
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<std::thread> threads;
-    threads.reserve(producers);
-    for (int p = 0; p < producers; ++p) {
-        threads.emplace_back([&, p] {
-            NodeStats stats;
-            for (int i = 0; i < per_producer; ++i) {
-                Message m;
-                m.src = 1 + p;
-                m.dst = 0;
-                m.type = MsgType::LockRequest;
-                m.replyToken = static_cast<std::uint64_t>(i) + 1;
-                net.send(std::move(m), stats);
-            }
-        });
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const std::size_t colon = line.find(':');
+        if (colon != std::string::npos)
+            return line.substr(line.find_first_not_of(' ', colon + 1));
     }
-    Message out;
-    for (int i = 0; i < total; ++i) {
-        if (!net.recv(0, out))
-            break;
-    }
-    for (auto &t : threads)
-        t.join();
-    const auto end = std::chrono::steady_clock::now();
-    net.shutdown();
-    return std::chrono::duration<double, std::nano>(end - start)
-               .count() /
-           total;
-}
-
-struct CoalesceResult
-{
-    double nsPerMsg;
-    /** Modeled wire messages for the whole run — deterministic, so
-     *  the off/on ratio is bit-stable across hosts (the wall-clock
-     *  ns/msg wobbles: ring pushes are already cheap uncontended). */
-    std::uint64_t wireMessages;
-};
-
-/** Bursts of small one-way HomeDiffFlush messages to one peer, a
- *  call() as the request boundary after each burst (which is also
- *  what flushes the coalescing buffer). */
-CoalesceResult
-coalesceShape(bool coalesce, int bursts, int per_burst)
-{
-    CostModel cm;
-    Network net(2, cm);
-    VirtualClock clocks[2];
-    NodeStats stats[2];
-    Endpoint a(net, 0, clocks[0], stats[0]);
-    Endpoint b(net, 1, clocks[1], stats[1]);
-    a.setCoalescing(coalesce);
-    b.setHandler([&](Message &msg) {
-        if (msg.replyToken != 0)
-            b.reply(msg.src, MsgType::HomePageReply, {},
-                    msg.replyToken);
-    });
-    a.setHandler([](Message &) {});
-    a.start();
-    b.start();
-
-    const auto burst = [&] {
-        for (int i = 0; i < per_burst; ++i)
-            a.send(1, MsgType::HomeDiffFlush,
-                   std::vector<std::byte>(16));
-        a.call(1, MsgType::HomePageRequest, {});
-    };
-    for (int w = 0; w < 200; ++w)
-        burst();
-    const std::uint64_t msgs_before = net.totalMessages();
-
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < bursts; ++i)
-        burst();
-    const auto end = std::chrono::steady_clock::now();
-    const std::uint64_t msgs = net.totalMessages() - msgs_before;
-
-    a.stop();
-    b.stop();
-    net.shutdown();
-    CoalesceResult r;
-    r.nsPerMsg = std::chrono::duration<double, std::nano>(end - start)
-                     .count() /
-                 (static_cast<double>(bursts) * per_burst);
-    r.wireMessages = msgs;
-    return r;
+    return "unknown";
 }
 
 } // namespace
@@ -262,103 +153,45 @@ int
 main()
 {
     const int rpc_iters = 20000;
-    const int producers = 7;
-    const int per_producer = 60000;
-    const int coalesce_bursts = 6000;
-    const int coalesce_batch = 16;
 
-    std::printf("=== micro_net: inbox latency — mutex+cv vs MPSC ring, "
-                "reply bypass, send coalescing ===\n");
+    std::printf("=== micro_net: rpc round trip, in-process vs socket "
+                "===\n");
 
-    const RpcResult rpc_mutex =
-        rpcRoundTrip(InboxPolicy::MutexQueue, rpc_iters, true);
-    const RpcResult rpc_ring =
-        rpcRoundTrip(InboxPolicy::LockFreeRing, rpc_iters, true);
-    const RpcResult rpc_ring_nobypass =
-        rpcRoundTrip(InboxPolicy::LockFreeRing, rpc_iters, false);
-    const RpcResult rpc_socket = rpcRoundTripSocket(rpc_iters, true);
-    const double fan_mutex =
-        faninNsPerMsg(InboxPolicy::MutexQueue, producers, per_producer);
-    const double fan_ring =
-        faninNsPerMsg(InboxPolicy::LockFreeRing, producers,
-                      per_producer);
-    const CoalesceResult coal_off =
-        coalesceShape(false, coalesce_bursts, coalesce_batch);
-    const CoalesceResult coal_on =
-        coalesceShape(true, coalesce_bursts, coalesce_batch);
-    const double coal_msg_reduction =
-        static_cast<double>(coal_off.wireMessages) /
-        static_cast<double>(coal_on.wireMessages);
+    const RpcResult rpc = rpcRoundTrip(rpc_iters);
+    const RpcResult rpc_socket = rpcRoundTripSocket(rpc_iters);
+    const double ring_vs_socket_p50 = rpc.p50Ns / rpc_socket.p50Ns;
 
     std::printf("%-30s %10s %10s %10s\n", "shape", "mean ns", "p50 ns",
                 "p99 ns");
-    std::printf("%-30s %10.0f %10.0f %10.0f\n", "rpc mutex inbox",
-                rpc_mutex.meanNs, rpc_mutex.p50Ns, rpc_mutex.p99Ns);
-    std::printf("%-30s %10.0f %10.0f %10.0f\n", "rpc ring + bypass",
-                rpc_ring.meanNs, rpc_ring.p50Ns, rpc_ring.p99Ns);
-    std::printf("%-30s %10.0f %10.0f %10.0f\n", "rpc ring, no bypass",
-                rpc_ring_nobypass.meanNs, rpc_ring_nobypass.p50Ns,
-                rpc_ring_nobypass.p99Ns);
+    std::printf("%-30s %10.0f %10.0f %10.0f\n", "rpc in-process",
+                rpc.meanNs, rpc.p50Ns, rpc.p99Ns);
     std::printf("%-30s %10.0f %10.0f %10.0f\n", "rpc socket (UDS)",
                 rpc_socket.meanNs, rpc_socket.p50Ns, rpc_socket.p99Ns);
-    std::printf("%-30s %9.2fx\n", "bypass speedup (ring rpc)",
-                rpc_ring_nobypass.meanNs / rpc_ring.meanNs);
-    std::printf("%-30s %9.2fx\n", "ring/socket rpc p50 ratio",
-                rpc_ring.p50Ns / rpc_socket.p50Ns);
-    std::printf("%-30s %10.0f\n", "fan-in mutex ns/msg", fan_mutex);
-    std::printf("%-30s %10.0f  (%.2fx)\n", "fan-in ring ns/msg",
-                fan_ring, fan_mutex / fan_ring);
-    std::printf("%-30s %10.0f  (%llu wire msgs)\n",
-                "coalesce off ns/msg", coal_off.nsPerMsg,
-                static_cast<unsigned long long>(coal_off.wireMessages));
-    std::printf("%-30s %10.0f  (%llu wire msgs, %.2fx fewer)\n",
-                "coalesce on ns/msg", coal_on.nsPerMsg,
-                static_cast<unsigned long long>(coal_on.wireMessages),
-                coal_msg_reduction);
+    std::printf("%-30s %9.3fx\n", "in-process/socket p50 ratio",
+                ring_vs_socket_p50);
 
+    const std::string cpu = cpuModel();
     char json[2048];
     std::snprintf(
         json, sizeof(json),
         "{\n"
+        "  \"host\": {\n"
+        "    \"nproc\": %u,\n"
+        "    \"cpu_model\": \"%s\",\n"
+        "    \"build_type\": \"%s\"\n"
+        "  },\n"
         "  \"rpc_iters\": %d,\n"
-        "  \"fanin_producers\": %d,\n"
-        "  \"fanin_msgs_per_producer\": %d,\n"
-        "  \"coalesce_bursts\": %d,\n"
-        "  \"coalesce_batch\": %d,\n"
-        "  \"rpc_roundtrip_mutex_ns\": %.0f,\n"
         "  \"rpc_roundtrip_ring_ns\": %.0f,\n"
         "  \"rpc_roundtrip_ring_p50_ns\": %.0f,\n"
         "  \"rpc_roundtrip_ring_p99_ns\": %.0f,\n"
-        "  \"rpc_roundtrip_ring_nobypass_ns\": %.0f,\n"
-        "  \"rpc_roundtrip_ring_nobypass_p50_ns\": %.0f,\n"
-        "  \"rpc_roundtrip_ring_nobypass_p99_ns\": %.0f,\n"
         "  \"rpc_roundtrip_socket_ns\": %.0f,\n"
         "  \"rpc_roundtrip_socket_p50_ns\": %.0f,\n"
         "  \"rpc_roundtrip_socket_p99_ns\": %.0f,\n"
-        "  \"rpc_ring_vs_socket_p50\": %.3f,\n"
-        "  \"rpc_bypass_speedup\": %.2f,\n"
-        "  \"rpc_speedup\": %.2f,\n"
-        "  \"fanin_mutex_ns_per_msg\": %.0f,\n"
-        "  \"fanin_ring_ns_per_msg\": %.0f,\n"
-        "  \"fanin_speedup\": %.2f,\n"
-        "  \"coalesce_off_ns_per_msg\": %.0f,\n"
-        "  \"coalesce_on_ns_per_msg\": %.0f,\n"
-        "  \"coalesce_off_wire_msgs\": %llu,\n"
-        "  \"coalesce_on_wire_msgs\": %llu,\n"
-        "  \"coalesce_msg_reduction\": %.2f\n"
+        "  \"rpc_ring_vs_socket_p50\": %.3f\n"
         "}\n",
-        rpc_iters, producers, per_producer, coalesce_bursts,
-        coalesce_batch, rpc_mutex.meanNs, rpc_ring.meanNs,
-        rpc_ring.p50Ns, rpc_ring.p99Ns, rpc_ring_nobypass.meanNs,
-        rpc_ring_nobypass.p50Ns, rpc_ring_nobypass.p99Ns,
-        rpc_socket.meanNs, rpc_socket.p50Ns, rpc_socket.p99Ns,
-        rpc_ring.p50Ns / rpc_socket.p50Ns,
-        rpc_ring_nobypass.meanNs / rpc_ring.meanNs,
-        rpc_mutex.meanNs / rpc_ring.meanNs, fan_mutex, fan_ring,
-        fan_mutex / fan_ring, coal_off.nsPerMsg, coal_on.nsPerMsg,
-        static_cast<unsigned long long>(coal_off.wireMessages),
-        static_cast<unsigned long long>(coal_on.wireMessages),
-        coal_msg_reduction);
+        std::thread::hardware_concurrency(), cpu.c_str(), DSM_BUILD_TYPE,
+        rpc_iters, rpc.meanNs, rpc.p50Ns, rpc.p99Ns, rpc_socket.meanNs,
+        rpc_socket.p50Ns, rpc_socket.p99Ns, ring_vs_socket_p50);
 
     const char *out_path = "BENCH_net.json";
     if (FILE *f = std::fopen(out_path, "w")) {

@@ -40,14 +40,12 @@ struct Cell
     /** Ping-pong cap for the last-writer cells (-1 = resolved
      *  default). */
     int pingPong = -1;
-    /** Latency-path knobs (PR 9): -1 keeps the env-resolved default,
-     *  0/1 forces. Blocking dequeue replaces the task-queue poll's
-     *  hot spin with a futex park; adaptive fairness lets each lock
-     *  find its own hand-off bound; coalescing batches small
-     *  same-destination flushes into framed slots. */
+    /** Latency-path knobs: -1 keeps the env-resolved default, 0/1
+     *  forces. Blocking dequeue replaces the task-queue poll's hot
+     *  spin with a futex park; adaptive fairness lets each lock find
+     *  its own hand-off bound. */
     int blockingDeq = -1;
     int adaptFair = -1;
-    int coalesce = -1;
 };
 
 struct Spread
@@ -127,13 +125,13 @@ main()
         // k, and everything armed at once.
         {"home lastw-pin +blkdeq", true, 4, 1, 0, 1, 1},
         {"home lastw-pin adapt-k", true, 0, 1, 0, 1, -1, 1},
-        {"home latency-all", true, 4, 1, 1, 1, 1, 1, 1},
+        {"home latency-all", true, 4, 1, 1, 1, 1, 1},
     };
 
     Table table({"policy", "NxT", "time mean (s)", "time range",
                  "time cv%", "msgs mean", "msgs range", "msgs cv%",
                  "forced", "migr", "supp", "flushes merged", "parks",
-                 "coal", "bound +/-"});
+                 "bound +/-"});
 
     const std::string topo =
         std::to_string(base.nprocs) + "x" +
@@ -141,8 +139,7 @@ main()
     for (const Cell &cell : cells) {
         std::vector<double> times, msgs;
         std::uint64_t forced = 0, migrations = 0, suppressed = 0,
-                      merged = 0, parks = 0, coalesced = 0, grows = 0,
-                      shrinks = 0;
+                      merged = 0, parks = 0, grows = 0, shrinks = 0;
         for (int r = 0; r < runs; ++r) {
             ClusterConfig cc = base;
             cc.homeBasedLrc = cell.home;
@@ -152,7 +149,6 @@ main()
             cc.homePingPongLimit = cell.pingPong;
             cc.blockingDequeue = cell.blockingDeq;
             cc.lockFairnessAdaptive = cell.adaptFair;
-            cc.coalesceSends = cell.coalesce;
             ExperimentResult res = runExperiment(
                 "QS", RuntimeConfig::parse("LRC-diff"), params, cc);
             times.push_back(res.execSeconds());
@@ -163,7 +159,6 @@ main()
             suppressed += res.run.total.homeMigrationsSuppressed;
             merged += res.run.total.homeFlushesDeferred;
             parks += res.run.total.idleParks;
-            coalesced += res.run.total.messagesCoalesced;
             grows += res.run.total.fairnessBoundGrows;
             shrinks += res.run.total.fairnessBoundShrinks;
         }
@@ -180,7 +175,6 @@ main()
              std::to_string(suppressed / runs),
              std::to_string(merged / runs),
              std::to_string(parks / runs),
-             std::to_string(coalesced / runs),
              std::to_string(grows / runs) + "/" +
                  std::to_string(shrinks / runs)});
     }

@@ -56,9 +56,7 @@ Cluster::Cluster(const ClusterConfig &config) : cfg(config)
     cfg.homeFlushDefer = cfg.resolvedHomeFlushDefer() ? 1 : 0;
     cfg.optimisticHomeReads = cfg.resolvedOptimisticHomeReads() ? 1 : 0;
     // Latency-path knobs (PR 9).
-    cfg.replyBypass = cfg.resolvedReplyBypass() ? 1 : 0;
     cfg.blockingDequeue = cfg.resolvedBlockingDequeue() ? 1 : 0;
-    cfg.coalesceSends = cfg.resolvedCoalesceSends() ? 1 : 0;
     cfg.lockFairnessAdaptive = cfg.resolvedLockFairnessAdaptive() ? 1 : 0;
     // Transport tier: resolve before the crash-tolerance knobs so the
     // in-process-only fallback sees their resolved values too.
@@ -95,8 +93,6 @@ Cluster::Cluster(const ClusterConfig &config) : cfg(config)
     if (cfg.lossEveryNth > 0)
         loss = dropEveryNth(cfg.lossEveryNth);
     net = std::make_unique<Network>(cfg.nprocs, cfg.cost, std::move(loss));
-    if (cfg.blockingDequeue > 0)
-        net->setAdaptiveInboxSpin(true);
 
     // Real (unmodeled) message drops; null when the knob is off, so
     // the send hot path pays only a pointer test. A silent-peer
@@ -128,8 +124,6 @@ Cluster::Cluster(const ClusterConfig &config) : cfg(config)
         Node *n = node.get();
         if (faults)
             n->ep.setFaultsEnabled(true);
-        n->ep.setReplyBypass(cfg.replyBypass > 0);
-        n->ep.setCoalescing(cfg.coalesceSends > 0);
         n->ep.setBlockingDequeue(cfg.blockingDequeue > 0);
         n->ep.setRetransmitTimeouts(cfg.resolvedRtoFirstNs(),
                                     cfg.resolvedRtoCapNs());
@@ -376,8 +370,6 @@ Cluster::runChildNode(int rank, const std::string &dir,
                        cfg.transport == "tcp" ? SocketKind::Tcp
                                               : SocketKind::Unix,
                        dir, std::move(loss));
-    if (cfg.blockingDequeue > 0)
-        st.setAdaptiveInboxSpin(true);
     if (faults)
         st.setFaultInjector(faults.get());
 

@@ -171,21 +171,9 @@ ClusterConfig::resolvedOptimisticHomeReads() const
 }
 
 bool
-ClusterConfig::resolvedReplyBypass() const
-{
-    return resolveEnvDefault(replyBypass, "DSM_REPLY_BYPASS", 1) != 0;
-}
-
-bool
 ClusterConfig::resolvedBlockingDequeue() const
 {
     return resolveEnvDefault(blockingDequeue, "DSM_BLOCKING_DEQ", 0) != 0;
-}
-
-bool
-ClusterConfig::resolvedCoalesceSends() const
-{
-    return resolveEnvDefault(coalesceSends, "DSM_COALESCE", 0) != 0;
 }
 
 bool

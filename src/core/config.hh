@@ -292,46 +292,19 @@ struct ClusterConfig
      */
     int homeFlushDefer = -1;
 
-    // --- Latency-path layer (PR 9): reply-bypass delivery, adaptive
-    // blocking dequeue and same-destination coalescing. Same -1 =
-    // "resolve from the environment at Cluster construction"
-    // convention as the policy knobs.
-
-    /**
-     * Reply-bypass delivery: RPC replies are written straight into
-     * the blocked caller's futex reply slot, skipping the receiver's
-     * service-thread MPSC hop, guarded by a per-(src, dst) outstanding
-     * -inbox-message counter so a bypassed reply can never overtake an
-     * earlier inbox message from the same peer (HomeMigrate installs,
-     * LockForward chains). -1 = DSM_REPLY_BYPASS env if set, else on.
-     * Counted by repliesBypassed / replyBypassRefusals.
-     */
-    int replyBypass = -1;
+    // --- Latency-path layer: adaptive blocking dequeue and
+    // the adaptive lock-fairness bound. Same -1 = "resolve from the
+    // environment at Cluster construction" convention as the policy
+    // knobs.
 
     /**
      * Adaptive blocking dequeue: app-level receive polls (the QS
      * task-queue scan) park on the endpoint's activity futex word
      * with an adaptive spin threshold instead of spinning through
-     * chargeWork backoff, and the service thread's ring pop uses a
-     * dynamically sized spin budget (halve on park, grow on hot pop)
-     * instead of the binary parked/hot budget. -1 = DSM_BLOCKING_DEQ
-     * env if set, else off. Counted by idlePolls / idleParks.
+     * chargeWork backoff. -1 = DSM_BLOCKING_DEQ env if set, else off.
+     * Counted by idlePolls / idleParks.
      */
     int blockingDequeue = -1;
-
-    /**
-     * Send-side same-destination coalescing: small eager messages
-     * (home diff flushes, home-migrate installs) are buffered per
-     * destination and shipped as one framed CoalescedFrame ring slot,
-     * flushed at request boundaries (before any blocking call, before
-     * any direct send or reply to the same destination, at the end of
-     * each service-thread dispatch and before idle parks) so framing
-     * never reorders against other traffic to that peer. The frame
-     * format is transport-neutral (length-prefixed serde entries).
-     * -1 = DSM_COALESCE env if set, else off. Counted by
-     * coalesceFramesSent / messagesCoalesced.
-     */
-    int coalesceSends = -1;
 
     /**
      * Per-lock adaptive fairness bound: instead of the static
@@ -473,8 +446,9 @@ struct ClusterConfig
     /**
      * Which interconnect carries the cluster's messages:
      *  - "ring"   — tier 0, all nodes are threads of this process
-     *               sharing in-memory MPSC rings (the historical
-     *               substrate; every feature works here);
+     *               sharing in-memory inboxes (the historical
+     *               substrate; every feature works here; the name
+     *               predates the mutex inbox);
      *  - "socket" — tier 1, Cluster::run forks one process per node
      *               and messages cross Unix-domain sockets as
      *               length-prefixed frames;
@@ -521,14 +495,8 @@ struct ClusterConfig
     /** optimisticHomeReads with the -1 = "env or off" default. */
     bool resolvedOptimisticHomeReads() const;
 
-    /** replyBypass with the -1 = "env or ON" default. */
-    bool resolvedReplyBypass() const;
-
     /** blockingDequeue with the -1 = "env or off" default. */
     bool resolvedBlockingDequeue() const;
-
-    /** coalesceSends with the -1 = "env or off" default. */
-    bool resolvedCoalesceSends() const;
 
     /** lockFairnessAdaptive with the -1 = "env or off" default. */
     bool resolvedLockFairnessAdaptive() const;

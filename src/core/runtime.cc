@@ -1,6 +1,7 @@
 #include "core/runtime.hh"
 
 #include "core/checkpoint.hh"
+#include "util/futex.hh"
 #include "util/logging.hh"
 
 namespace dsm {
@@ -94,10 +95,8 @@ Runtime::pollIdle()
     if (!ep->blockingDequeueOn())
         return;
     ep->stats().idlePolls++;
-    // Nothing buffered may sit unsent while this worker sleeps.
-    ep->flushCoalesced();
-    // Adaptive spin before parking, same shape as the ring consumer:
-    // a poller whose last wait parked skips straight to the futex.
+    // Adaptive spin before parking: a poller whose last wait parked
+    // skips straight to the futex.
     static thread_local bool lastParked = false;
     const std::uint32_t seen = ep->activityStamp();
     const int budget = lastParked ? 0 : 128;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "net/failure_detector.hh"
-#include "net/serde.hh"
 #include "util/buffer_pool.hh"
 #include "util/logging.hh"
 
@@ -43,22 +42,6 @@ Endpoint::setFaultsEnabled(bool enabled)
     faultsOn = enabled;
     if (enabled && dedup.empty())
         dedup.resize(static_cast<std::size_t>(net->nnodes()));
-}
-
-void
-Endpoint::setReplyBypass(bool on)
-{
-    DSM_ASSERT(!running.load(), "bypass flipped while running");
-    bypassOn = on;
-}
-
-void
-Endpoint::setCoalescing(bool on)
-{
-    DSM_ASSERT(!running.load(), "coalescing flipped while running");
-    coalesceOn = on;
-    if (on && coalesceBufs.empty())
-        coalesceBufs.resize(static_cast<std::size_t>(net->nnodes()));
 }
 
 void
@@ -107,14 +90,6 @@ Endpoint::start()
         for (NodeId n = 0; n < net->nnodes(); ++n)
             seenRecoverySeq[n] = detector->recoverySeqOf(n);
     }
-    // Reply bypass engages with or without faults: the slot-occupancy
-    // check in tryDeliverReply plus the per-pair ordering guard in
-    // Network::send make a retransmitted duplicate reply lose the
-    // race exactly once — the winner fills the slot, the loser drains
-    // through the service thread's duplicate handling (see the
-    // BypassedDuplicateReply regression test).
-    if (bypassOn)
-        net->setReplyReceiver(id, this);
     serviceThread = std::thread([this] { serviceLoop(); });
 }
 
@@ -123,13 +98,6 @@ Endpoint::stop()
 {
     if (!running.exchange(false))
         return;
-    // A buffered coalesced message must not die with the endpoint.
-    flushCoalesced();
-    // Deregister first: setReplyReceiver synchronizes with in-flight
-    // senders, so after this no peer thread can reach into our
-    // pending map — replies sent while we are stopped (a checkpoint
-    // quiesce) park in the inbox like any other message.
-    net->setReplyReceiver(id, nullptr);
     // Wake our own service thread with a shutdown message.
     Message msg;
     msg.src = id;
@@ -146,15 +114,6 @@ void
 Endpoint::send(NodeId dst, MsgType type, std::vector<std::byte> payload,
                std::uint64_t reply_token)
 {
-    if (coalesceOn && reply_token == 0 && coalescable(type) &&
-        dst != id) {
-        std::lock_guard<std::mutex> g(coalMu);
-        coalesceBufs[dst].push_back({type, 0, std::move(payload)});
-        return;
-    }
-    // A direct send must queue behind anything already buffered for
-    // this destination, or the receiver would observe it reordered.
-    flushCoalescedTo(dst);
     Message msg;
     msg.src = id;
     msg.dst = dst;
@@ -170,10 +129,6 @@ Endpoint::reply(NodeId dst, MsgType type, std::vector<std::byte> payload,
                 std::uint64_t reply_token)
 {
     DSM_ASSERT(reply_token != 0, "reply without token");
-    // A reply can be bypassed straight into the caller's slot; a
-    // buffered frame for the same destination must go on the wire
-    // first or the reply would overtake it.
-    flushCoalescedTo(dst);
     Message msg;
     msg.src = id;
     msg.dst = dst;
@@ -187,66 +142,6 @@ Endpoint::reply(NodeId dst, MsgType type, std::vector<std::byte> payload,
     net->send(std::move(msg), stats());
 }
 
-bool
-Endpoint::coalescable(MsgType type)
-{
-    // One-way, token-free traffic whose receivers tolerate any
-    // arrival order relative to each other (the home's word-sum
-    // guard): eager/deferred diff flushes and migrate installs.
-    // Request/reply RPCs and chain-routed lock traffic never
-    // coalesce — their latency is the round trip itself.
-    return type == MsgType::HomeDiffFlush ||
-           type == MsgType::HomeMigrate;
-}
-
-void
-Endpoint::flushCoalescedTo(NodeId dst)
-{
-    if (!coalesceOn)
-        return;
-    std::lock_guard<std::mutex> g(coalMu);
-    auto &buf = coalesceBufs[dst];
-    if (buf.empty())
-        return;
-    // The frame is sent under coalMu so concurrent flushers cannot
-    // interleave two frames for one destination out of buffer order;
-    // the push may block on a full ring, but the consumer that drains
-    // it never takes this endpoint's coalMu — no cycle.
-    Message msg;
-    msg.src = id;
-    msg.dst = dst;
-    msg.vtSendNs = clock().now();
-    if (buf.size() == 1) {
-        // A lone message gains nothing from framing; ship it as-is.
-        msg.type = buf.front().type;
-        msg.payload = std::move(buf.front().payload);
-    } else {
-        WireWriter w;
-        w.putU32(static_cast<std::uint32_t>(buf.size()));
-        for (CoalescedEntry &e : buf) {
-            w.putU8(static_cast<std::uint8_t>(e.type));
-            w.putU64(e.token);
-            w.putBlob(e.payload);
-            BufferPool::instance().release(std::move(e.payload));
-        }
-        msg.type = MsgType::CoalescedFrame;
-        msg.payload = w.take();
-        stats().coalesceFramesSent++;
-        stats().messagesCoalesced += buf.size();
-    }
-    buf.clear();
-    net->send(std::move(msg), stats());
-}
-
-void
-Endpoint::flushCoalesced()
-{
-    if (!coalesceOn)
-        return;
-    for (NodeId dst = 0; dst < net->nnodes(); ++dst)
-        flushCoalescedTo(dst);
-}
-
 void
 Endpoint::waitActivity(std::uint32_t seen, std::uint64_t timeout_ns)
 {
@@ -256,23 +151,6 @@ Endpoint::waitActivity(std::uint32_t seen, std::uint64_t timeout_ns)
     if (activityWord.load(std::memory_order_seq_cst) == seen)
         futexWaitTimed(activityWord, seen, timeout_ns);
     activityWaiters.fetch_sub(1, std::memory_order_relaxed);
-}
-
-bool
-Endpoint::tryDeliverReply(Message &msg)
-{
-    std::lock_guard<std::mutex> g(pendingMu);
-    auto it = pending.find(msg.replyToken);
-    if (it == pending.end())
-        return false; // no parked caller (e.g. quiesced): inbox path
-    PendingReply *slot = it->second;
-    if (slot->ready.load(std::memory_order_relaxed) != 0)
-        return false; // already filled; cannot happen without faults
-    slot->msg = std::move(msg);
-    slot->viaBypass = true;
-    slot->ready.store(1, std::memory_order_release);
-    slot->ready.notify_one();
-    return true;
 }
 
 Message
@@ -287,20 +165,17 @@ Endpoint::call(NodeId dst, MsgType type, std::vector<std::byte> payload,
 {
     if (peer_down != nullptr)
         *peer_down = false;
-    // Request boundary: everything buffered must be on the wire
-    // before we block — a parked frame would stall its receivers for
-    // the whole round trip (and deadlock if the responder needs it).
-    flushCoalesced();
+    // Fault-tolerant round trips keep a payload copy for retransmits.
+    const bool retransmittable =
+        faultsOn && FaultInjector::droppable(type);
     const std::uint64_t token = nextToken.fetch_add(1);
     PendingReply slot;
+    slot.timedWait = retransmittable || detector != nullptr;
     {
         std::lock_guard<std::mutex> g(pendingMu);
         pending.emplace(token, &slot);
     }
 
-    // Fault-tolerant round trips keep a payload copy for retransmits.
-    const bool retransmittable =
-        faultsOn && FaultInjector::droppable(type);
     std::vector<std::byte> retransmit_copy;
     if (retransmittable)
         retransmit_copy = payload;
@@ -315,8 +190,8 @@ Endpoint::call(NodeId dst, MsgType type, std::vector<std::byte> payload,
     net->send(std::move(msg), stats());
 
     // Abandon the wait (typed PeerUnavailable outcome): unpark the
-    // token under pendingMu so neither delivery path can fill a dead
-    // stack slot. Both fills flip ready while holding pendingMu, so a
+    // token under pendingMu so the service thread cannot fill a dead
+    // stack slot. The fill flips ready while holding pendingMu, so a
     // still-zero ready under the lock means no fill can race the
     // erase; a nonzero one means the reply landed after all — the
     // caller takes it instead of abandoning.
@@ -404,22 +279,6 @@ Endpoint::call(NodeId dst, MsgType type, std::vector<std::byte> payload,
         std::lock_guard<std::mutex> g(pendingMu);
         pending.erase(token);
     }
-    if (slot.viaBypass) {
-        // The reply never crossed the service thread: the receiver-
-        // side wire accounting it would have done lands here instead,
-        // in this caller's context (its private delta on SMP nodes —
-        // the single-writer stats discipline holds). The node clock
-        // is deliberately not advanced: only this caller's execution
-        // depends on the reply's arrival time.
-        stats().messagesReceived++;
-        stats().bytesReceived += out.wireSize();
-        // So does the liveness stamp the service thread would have
-        // taken from the delivery (heard() is CAS-guarded and
-        // thread-safe; the stats argument is this caller's private
-        // delta, so the single-writer discipline still holds).
-        if (detector != nullptr && out.src != id)
-            detector->heard(out.src, stats());
-    }
     // Causality: we cannot proceed before the reply arrived.
     clock().advanceTo(out.vtArriveNs);
     return out;
@@ -446,11 +305,11 @@ Endpoint::serviceLoop()
     const std::uint64_t tick_ns =
         std::max<std::uint64_t>(detector->deadlineNs() / 2, 100'000);
     for (;;) {
-        const RingPop st = net->recvTimed(id, msg, tick_ns);
-        if (st == RingPop::Closed)
+        const InboxPop st = net->recvTimed(id, msg, tick_ns);
+        if (st == InboxPop::Closed)
             break;
         detector->heartbeat(id);
-        if (st == RingPop::Timeout) {
+        if (st == InboxPop::Timeout) {
             detector->tick(id, nodeStats);
             runRecoveryHooks();
             continue;
@@ -469,16 +328,7 @@ Endpoint::dispatch(Message &msg)
     if (msg.type == MsgType::Shutdown)
         return false;
 
-    const NodeId src = msg.src;
     dispatchInner(msg);
-    // Handlers may have buffered coalescable sends; the service
-    // thread is about to go back to recv (possibly to park), so they
-    // go on the wire now — the frame is the request-boundary batch.
-    flushCoalesced();
-    // Every earlier send from src is now fully applied: re-arm the
-    // reply-bypass ordering guard for the pair (release-decrement
-    // pairs with the guard's acquire load in Network::send).
-    net->noteDispatched(id, src);
     // App-level blocking dequeues poll shared state this dispatch may
     // have advanced.
     bumpActivity();
@@ -492,11 +342,6 @@ Endpoint::dispatchInner(Message &msg)
     vclock.advanceTo(msg.vtArriveNs);
     nodeStats.messagesReceived++;
     nodeStats.bytesReceived += msg.wireSize();
-
-    if (msg.type == MsgType::CoalescedFrame) {
-        dispatchFrame(msg);
-        return;
-    }
 
     if (msg.isReply) {
         // Fill + notify under pendingMu: the caller must reacquire
@@ -514,11 +359,13 @@ Endpoint::dispatchInner(Message &msg)
         }
         PendingReply *slot = it->second;
         if (slot->ready.load(std::memory_order_relaxed) != 0)
-            return; // duplicate raced the caller's erase (one copy
-                    // may have arrived via the bypass slot)
+            return; // duplicate raced the caller's erase
         slot->msg = std::move(msg);
         slot->ready.store(1, std::memory_order_release);
-        slot->ready.notify_one();
+        if (slot->timedWait)
+            futexWakeAll(slot->ready);
+        else
+            slot->ready.notify_one();
         return;
     }
 
@@ -528,35 +375,6 @@ Endpoint::dispatchInner(Message &msg)
     DSM_ASSERT(handler != nullptr, "message with no handler");
     handler(msg);
     // The request payload is dead once handled; recycle it.
-    BufferPool::instance().release(std::move(msg.payload));
-}
-
-void
-Endpoint::dispatchFrame(Message &msg)
-{
-    WireReader r(msg.payload);
-    const std::uint32_t count = r.getU32();
-    DSM_ASSERT(count >= 2, "degenerate coalesced frame of %u", count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        Message sub;
-        sub.src = msg.src;
-        sub.dst = id;
-        sub.type = static_cast<MsgType>(r.getU8());
-        sub.replyToken = r.getU64();
-        // Arrival/send stamps inherit the frame's: the batch crossed
-        // the wire as one message and its parts become visible
-        // together. pairSeq stays 0 — sub-messages never pass recv(),
-        // so the per-pair assert never sees them.
-        sub.vtSendNs = msg.vtSendNs;
-        sub.vtArriveNs = msg.vtArriveNs;
-        sub.payload = r.getBlob();
-        DSM_ASSERT(coalescable(sub.type) && !sub.isReply,
-                   "non-coalescable %s inside a frame",
-                   toString(sub.type));
-        DSM_ASSERT(handler != nullptr, "message with no handler");
-        handler(sub);
-        BufferPool::instance().release(std::move(sub.payload));
-    }
     BufferPool::instance().release(std::move(msg.payload));
 }
 

@@ -4,7 +4,9 @@
  * machinery in the original systems: a dedicated service thread drains
  * the node's inbox and dispatches requests to a handler, while the
  * application thread performs blocking RPCs (call) whose replies are
- * routed back by token.
+ * routed back by token. Replies take the same path as every other
+ * message — inbox, service thread, then the caller's reply slot — so
+ * a reply can never overtake an earlier message from its sender.
  *
  * Handler discipline (deadlock freedom): handlers run on the service
  * thread, may send messages, but must never perform a blocking call().
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "net/transport.hh"
+#include "util/futex.hh"
 #include "time/thread_context.hh"
 #include "time/virtual_clock.hh"
 
@@ -33,7 +36,7 @@ namespace dsm {
 
 class FailureDetector;
 
-class Endpoint : public ReplyReceiver
+class Endpoint
 {
   public:
     using Handler = std::function<void(Message &)>;
@@ -144,33 +147,6 @@ class Endpoint : public ReplyReceiver
                                std::uint64_t cap_ns);
 
     /**
-     * Reply bypass (ReplyReceiver): a sender's thread offers a reply
-     * for one of our parked callers directly, skipping our inbox and
-     * service thread. Fills the caller's futex slot under pendingMu —
-     * the same protocol the service thread uses — so the two delivery
-     * paths cannot double-fill. False when no caller is parked on the
-     * token (the reply then takes the inbox path) or the slot is
-     * already filled (a retransmitted duplicate under faults: exactly
-     * one delivery wins, the loser drains through the service
-     * thread's duplicate handling).
-     */
-    bool tryDeliverReply(Message &msg) override;
-
-    /**
-     * Arm/disarm reply-bypass delivery for this node (default on:
-     * DSM_REPLY_BYPASS resolves to 1). Must be set before start().
-     */
-    void setReplyBypass(bool on);
-
-    /**
-     * Arm send-side same-destination coalescing (DSM_COALESCE):
-     * coalescable one-way messages (home diff flushes, home-migrate
-     * installs) buffer per destination and ship as one CoalescedFrame,
-     * flushed at every request boundary. Must be set before start().
-     */
-    void setCoalescing(bool on);
-
-    /**
      * Arm the adaptive blocking-dequeue support (DSM_BLOCKING_DEQ):
      * every dispatched message bumps the endpoint's activity word so
      * app-level receive polls (Runtime::pollIdle) can park on it
@@ -211,15 +187,6 @@ class Endpoint : public ReplyReceiver
      */
     void waitActivity(std::uint32_t seen, std::uint64_t timeout_ns);
 
-    /**
-     * Ship every buffered coalesced message now (all destinations).
-     * Called at request boundaries: before any blocking call(), before
-     * an idle park, at the end of each service-thread dispatch and at
-     * stop(). A buffered message must never outlive its sender's next
-     * blocking point. No-op when coalescing is off.
-     */
-    void flushCoalesced();
-
     NodeId self() const { return id; }
 
     int nnodes() const { return net->nnodes(); }
@@ -259,10 +226,11 @@ class Endpoint : public ReplyReceiver
     struct PendingReply
     {
         std::atomic<std::uint32_t> ready{0};
-        /** Reply arrived via the sender-side bypass: the woken caller
-         *  owes the receiver-side accounting the service thread would
-         *  otherwise have done. */
-        bool viaBypass = false;
+        /** The caller parks with futexWaitTimed (faults or detector
+         *  armed), which std::atomic::notify_one does not reliably
+         *  wake — libstdc++ skips the wake syscall when no
+         *  std::atomic::wait caller is registered. */
+        bool timedWait = false;
         Message msg;
     };
 
@@ -280,33 +248,15 @@ class Endpoint : public ReplyReceiver
         std::vector<std::byte> replyPayload;
     };
 
-    /** One buffered coalescable message awaiting its frame. */
-    struct CoalescedEntry
-    {
-        MsgType type = MsgType::Invalid;
-        std::uint64_t token = 0;
-        std::vector<std::byte> payload;
-    };
-
     void serviceLoop();
 
     /** Route one drained message (reply fill, dedup, handler). False
      *  = Shutdown: the service loop must exit. */
     bool dispatch(Message &msg);
 
-    /** dispatch() body proper; the wrapper re-arms the bypass guard
-     *  (Network::noteDispatched) and bumps activity afterwards on
-     *  every path out of here. */
+    /** dispatch() body proper; the wrapper bumps activity afterwards
+     *  on every path out of here. */
     void dispatchInner(Message &msg);
-
-    /** Unpack a CoalescedFrame into its original handler calls. */
-    void dispatchFrame(Message &msg);
-
-    /** True for message types eligible for send-side coalescing. */
-    static bool coalescable(MsgType type);
-
-    /** Ship destination @p dst's buffered frame (if any). */
-    void flushCoalescedTo(NodeId dst);
 
     /** Fire recoveryCb for peers whose recovery epoch advanced since
      *  we last looked (service thread only). */
@@ -335,17 +285,8 @@ class Endpoint : public ReplyReceiver
 
     /** Fault-tolerant request path armed (see setFaultsEnabled). */
     bool faultsOn = false;
-    /** Reply-bypass delivery armed (see setReplyBypass). */
-    bool bypassOn = true;
-    /** Send-side coalescing armed (see setCoalescing). */
-    bool coalesceOn = false;
     /** Blocking-dequeue activity signalling armed. */
     bool blockingDeqOn = false;
-
-    /** Per-destination coalescing buffers; coalMu serializes the
-     *  app threads and the service thread appending/flushing. */
-    std::mutex coalMu;
-    std::vector<std::vector<CoalescedEntry>> coalesceBufs;
 
     /** Progress epoch for app-level blocking dequeues: bumped on
      *  every dispatched message (and lock release), parked on by

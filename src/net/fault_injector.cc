@@ -55,9 +55,6 @@ FaultInjector::droppable(MsgType type)
     case MsgType::HomePageRequest:
     case MsgType::HomePageReply:
     case MsgType::HomeMigrate:
-    // A coalesced frame carries non-droppable traffic (home flushes,
-    // migrate installs) — dropping the frame would drop them all.
-    case MsgType::CoalescedFrame:
     case MsgType::Shutdown:
     case MsgType::Invalid:
     case MsgType::NumTypes:

@@ -16,7 +16,7 @@
  *             isReply, attempt, replyToken, vtSendNs, vtArriveNs)
  *             followed by the raw payload bytes. pairSeq deliberately
  *             does NOT travel: it is simulation metadata assigned by
- *             the receiver's local inbox ring at push time, exactly as
+ *             the receiver's local inbox at push time, exactly as
  *             on the in-process tier.
  *  - Goodbye: i32 sender node id, u8 round. The two-round termination
  *             rendezvous of the process-per-node launcher: round 1 =
@@ -61,7 +61,7 @@ constexpr std::uint32_t kFrameMagic = 0x314d5344;
 constexpr std::uint16_t kFrameVersion = 1;
 
 /** Hard ceiling on one frame's post-prefix length. Generously above
- *  any legitimate message (pages are KBs, coalesced frames MBs) while
+ *  any legitimate message (pages are KBs, batched replies MBs) while
  *  keeping a corrupt length prefix from turning into a giant
  *  allocation. */
 constexpr std::uint32_t kMaxFrameBytes = 64u << 20;

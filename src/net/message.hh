@@ -52,10 +52,6 @@ enum class MsgType : std::uint8_t
                      ///< page copy + home state for the new home
 
     // Infrastructure.
-    CoalescedFrame, ///< send-side coalescing: several small messages to
-                    ///< one destination framed into a single ring slot
-                    ///< (length-prefixed serde entries; unpacked into
-                    ///< the original handler calls on arrival)
     Shutdown,      ///< cluster teardown of the service loop
 
     NumTypes,
@@ -82,8 +78,8 @@ struct Message
     /** Computed arrival virtual time (set by the network). */
     std::uint64_t vtArriveNs = 0;
     /**
-     * Delivery-order stamp assigned by the network inbox (ring ticket
-     * or per-pair counter; 0 = unstamped). Simulation metadata, not
+     * Delivery-order stamp assigned by the destination inbox (dense
+     * per-pair counter; 0 = unstamped). Simulation metadata, not
      * on the modeled wire; recv() asserts it increases per (src, dst)
      * pair — the in-order-per-pair delivery guarantee.
      */

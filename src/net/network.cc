@@ -1,31 +1,24 @@
 #include "net/network.hh"
 
-#include <chrono>
-
 #include "util/logging.hh"
 
 namespace dsm {
 
 Network::Network(int nnodes, const CostModel &cost_model,
-                 LossPlan loss_plan, InboxPolicy inbox_policy,
-                 std::size_t ring_capacity)
-    : cm(cost_model), loss(std::move(loss_plan)), policy(inbox_policy)
+                 LossPlan loss_plan)
+    : cm(cost_model), loss(std::move(loss_plan))
 {
     DSM_ASSERT(nnodes > 0, "network needs at least one node");
     inboxes.reserve(nnodes);
-    for (int i = 0; i < nnodes; ++i) {
-        inboxes.push_back(std::make_unique<Inbox>());
-        if (policy == InboxPolicy::LockFreeRing)
-            inboxes.back()->ring =
-                std::make_unique<MpscRing>(ring_capacity);
-        else
-            inboxes.back()->locked = std::make_unique<LockedInbox>();
-        inboxes.back()->lastDelivered.assign(nnodes, 0);
-        replySlots.push_back(std::make_unique<ReceiverSlot>());
-    }
-    pairSeqs.assign(static_cast<std::size_t>(nnodes) * nnodes, 0);
-    pairOutstanding = std::vector<std::atomic<std::uint32_t>>(
-        static_cast<std::size_t>(nnodes) * nnodes);
+    for (int i = 0; i < nnodes; ++i)
+        inboxes.push_back(std::make_unique<LockedInbox>(nnodes));
+}
+
+LockedInbox &
+Network::inboxOf(NodeId node)
+{
+    DSM_ASSERT(node >= 0 && node < nnodes(), "bad node %d", node);
+    return *inboxes[node];
 }
 
 void
@@ -67,216 +60,44 @@ Network::send(Message &&msg, NodeStats &sender_stats)
     if (faults && faults->dropMessage(msg))
         return;
 
-    // Reply bypass: hand the reply straight to the parked caller
-    // instead of paying inbox push + service-thread wake + futex
-    // route. All wire accounting above already happened; only the
-    // simulation-metadata pairSeq stamp is skipped (bypassed replies
-    // never pass recv(), so the in-order-per-pair assert never sees
-    // them). Guarded by the per-pair outstanding counter: while this
-    // sender still has undispatched messages in the destination's
-    // inbox (a HomeMigrate install, a forwarded lock chain, an
-    // earlier coalesced frame), the reply must queue behind them —
-    // the counter was incremented before those pushes, so any
-    // happens-before-ordered reply observes it nonzero until the
-    // receiver's handler finished (noteDispatched's release decrement
-    // pairs with this acquire load). Under fault injection the slot
-    // additionally refuses occupied tokens, funnelling duplicate
-    // retransmitted replies to the service thread's dedup window.
-    if (msg.isReply) {
-        ReceiverSlot &slot = *replySlots[msg.dst];
-        std::lock_guard<std::mutex> g(slot.mu);
-        if (slot.receiver) {
-            if (pairOutstanding[pairIndex(msg.src, msg.dst)].load(
-                    std::memory_order_acquire) == 0 &&
-                slot.receiver->tryDeliverReply(msg)) {
-                sender_stats.repliesBypassed++;
-                return;
-            }
-            sender_stats.replyBypassRefusals++;
-        }
-    }
-
-    // From here the message is committed to the inbox: engage the
-    // ordering guard before the push so the increment is visible to
-    // any later reply send ordered after this one. Shutdown skips it
-    // (teardown never dispatches through the endpoint).
-    if (msg.type != MsgType::Shutdown) {
-        pairOutstanding[pairIndex(msg.src, msg.dst)].fetch_add(
-            1, std::memory_order_relaxed);
-    }
-
-    Inbox &box = *inboxes[msg.dst];
-    if (policy == InboxPolicy::LockFreeRing) {
-        // The ring ticket doubles as the pair sequence stamp (push
-        // assigns it): tickets are claimed in delivery order, so the
-        // per-pair subsequence is strictly increasing — exactly the
-        // documented guarantee. A zero ticket (shutdown) drops the
-        // message, matching the teardown semantics of recv().
-        box.ring->push(std::move(msg));
-        return;
-    }
-
-    {
-        std::lock_guard<std::mutex> g(box.locked->mu);
-        // Dense per-pair stamp, assigned under the inbox mutex so the
-        // stamp order is the enqueue order.
-        msg.pairSeq = ++pairSeqs[static_cast<std::size_t>(msg.src) *
-                                     nnodes() +
-                                 msg.dst];
-        box.locked->queue.push_back(std::move(msg));
-    }
-    box.locked->cv.notify_one();
+    inboxes[msg.dst]->push(std::move(msg));
 }
 
 bool
 Network::recv(NodeId node, Message &out)
 {
-    DSM_ASSERT(node >= 0 && node < nnodes(), "bad node %d", node);
-    Inbox &box = *inboxes[node];
-
-    if (policy == InboxPolicy::LockFreeRing) {
-        if (!box.ring->pop(out))
-            return false;
-    } else {
-        std::unique_lock<std::mutex> g(box.locked->mu);
-        box.locked->cv.wait(g, [&] {
-            return !box.locked->queue.empty() ||
-                   down.load(std::memory_order_acquire);
-        });
-        if (box.locked->queue.empty())
-            return false;
-        out = std::move(box.locked->queue.front());
-        box.locked->queue.pop_front();
-    }
-
-    // In-order-per-pair invariant, checked on every delivery. Ring
-    // tickets are inbox-global (strictly increasing per pair); mutex
-    // stamps are dense per pair. Both must be monotone.
-    if (out.pairSeq != 0) {
-        std::uint64_t &last = box.lastDelivered[out.src];
-        DSM_ASSERT(out.pairSeq > last,
-                   "out-of-order delivery %d->%d: pairSeq %llu after "
-                   "%llu",
-                   out.src, node,
-                   static_cast<unsigned long long>(out.pairSeq),
-                   static_cast<unsigned long long>(last));
-        last = out.pairSeq;
-    }
-    return true;
+    return inboxOf(node).pop(out);
 }
 
-RingPop
+InboxPop
 Network::recvStatus(NodeId node, Message &out)
 {
-    DSM_ASSERT(node >= 0 && node < nnodes(), "bad node %d", node);
-    Inbox &box = *inboxes[node];
-    if (policy != InboxPolicy::LockFreeRing)
-        return recv(node, out) ? RingPop::Ok : RingPop::Closed;
-    const RingPop status = box.ring->popWithStatus(out);
-    if (status != RingPop::Ok)
-        return status;
-    if (out.pairSeq != 0) {
-        std::uint64_t &last = box.lastDelivered[out.src];
-        DSM_ASSERT(out.pairSeq > last,
-                   "out-of-order delivery %d->%d: pairSeq %llu after "
-                   "%llu",
-                   out.src, node,
-                   static_cast<unsigned long long>(out.pairSeq),
-                   static_cast<unsigned long long>(last));
-        last = out.pairSeq;
-    }
-    return RingPop::Ok;
+    return inboxOf(node).popWithStatus(out);
 }
 
-RingPop
+InboxPop
 Network::recvTimed(NodeId node, Message &out, std::uint64_t timeout_ns)
 {
-    DSM_ASSERT(node >= 0 && node < nnodes(), "bad node %d", node);
-    Inbox &box = *inboxes[node];
-    if (policy != InboxPolicy::LockFreeRing) {
-        std::unique_lock<std::mutex> g(box.locked->mu);
-        const bool ready = box.locked->cv.wait_for(
-            g, std::chrono::nanoseconds(timeout_ns), [&] {
-                return !box.locked->queue.empty() ||
-                       down.load(std::memory_order_acquire);
-            });
-        if (!ready)
-            return RingPop::Timeout;
-        if (box.locked->queue.empty())
-            return RingPop::Closed;
-        out = std::move(box.locked->queue.front());
-        box.locked->queue.pop_front();
-    } else {
-        const RingPop status = box.ring->popTimed(out, timeout_ns);
-        if (status != RingPop::Ok)
-            return status;
-    }
-    if (out.pairSeq != 0) {
-        std::uint64_t &last = box.lastDelivered[out.src];
-        DSM_ASSERT(out.pairSeq > last,
-                   "out-of-order delivery %d->%d: pairSeq %llu after "
-                   "%llu",
-                   out.src, node,
-                   static_cast<unsigned long long>(out.pairSeq),
-                   static_cast<unsigned long long>(last));
-        last = out.pairSeq;
-    }
-    return RingPop::Ok;
-}
-
-void
-Network::setReplyReceiver(NodeId node, ReplyReceiver *receiver)
-{
-    DSM_ASSERT(node >= 0 && node < nnodes(), "bad node %d", node);
-    ReceiverSlot &slot = *replySlots[node];
-    std::lock_guard<std::mutex> g(slot.mu);
-    slot.receiver = receiver;
-}
-
-void
-Network::noteDispatched(NodeId dst, NodeId src)
-{
-    pairOutstanding[pairIndex(src, dst)].fetch_sub(
-        1, std::memory_order_release);
-}
-
-void
-Network::setAdaptiveInboxSpin(bool on)
-{
-    for (auto &box : inboxes) {
-        if (box->ring)
-            box->ring->setAdaptiveSpin(on);
-    }
+    return inboxOf(node).popTimed(out, timeout_ns);
 }
 
 void
 Network::markNodeDown(NodeId node)
 {
-    DSM_ASSERT(node >= 0 && node < nnodes(), "bad node %d", node);
-    if (inboxes[node]->ring)
-        inboxes[node]->ring->setPeerDown(true);
+    inboxOf(node).setPeerDown(true);
 }
 
 void
 Network::clearNodeDown(NodeId node)
 {
-    DSM_ASSERT(node >= 0 && node < nnodes(), "bad node %d", node);
-    if (inboxes[node]->ring)
-        inboxes[node]->ring->setPeerDown(false);
+    inboxOf(node).setPeerDown(false);
 }
 
 void
 Network::shutdown()
 {
-    down.store(true, std::memory_order_release);
-    for (auto &box : inboxes) {
-        if (box->ring) {
-            box->ring->shutdown();
-        } else {
-            std::lock_guard<std::mutex> g(box->locked->mu);
-            box->locked->cv.notify_all();
-        }
-    }
+    for (auto &box : inboxes)
+        box->shutdown();
 }
 
 std::uint64_t

@@ -10,42 +10,29 @@
  * the "operation-specific user-level protocols to insure delivery"
  * described in Section 6 of the paper.
  *
- * Inboxes come in two flavors (InboxPolicy): the default bounded
- * lock-free MPSC ring (net/mpsc_ring.hh — futex-parked consumer, no
- * mutex on the send path) and the seed mutex+condvar deque, kept for
- * old-vs-new latency comparisons (bench/micro_net.cc). Both stamp
- * every message with a per-(src, dst) sequence number and recv()
- * asserts it increases monotonically per pair, so the documented
- * in-order-per-pair guarantee is checked on every delivery.
+ * Every message, replies included, enters the destination's
+ * LockedInbox (net/inbox.hh), a mutex+condvar FIFO that stamps each
+ * message with a per-(src, dst) sequence number and asserts it on
+ * every delivery, so the documented in-order-per-pair guarantee is
+ * checked on every receive.
  */
 
 #ifndef DSM_NET_NETWORK_HH
 #define DSM_NET_NETWORK_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "net/fault_injector.hh"
+#include "net/inbox.hh"
 #include "net/message.hh"
-#include "net/mpsc_ring.hh"
 #include "net/transport.hh"
 #include "time/cost_model.hh"
 #include "util/stats.hh"
 
 namespace dsm {
-
-/** How a node's inbox is implemented. */
-enum class InboxPolicy : std::uint8_t
-{
-    LockFreeRing, ///< bounded MPSC ring, futex-parked consumer
-    MutexQueue,   ///< seed mutex+condvar deque (ablation baseline)
-};
 
 class Network final : public Transport
 {
@@ -54,12 +41,9 @@ class Network final : public Transport
      * @param nnodes Number of nodes.
      * @param costModel Timing constants for transit computation.
      * @param lossPlan Optional deterministic loss injector.
-     * @param policy Inbox implementation (default: lock-free ring).
      */
     Network(int nnodes, const CostModel &costModel,
-            LossPlan lossPlan = nullptr,
-            InboxPolicy policy = InboxPolicy::LockFreeRing,
-            std::size_t ringCapacity = MpscRing::kDefaultCapacity);
+            LossPlan lossPlan = nullptr);
 
     /**
      * Send @p msg (src/dst/vtSendNs must be filled in). Computes the
@@ -80,22 +64,22 @@ class Network final : public Transport
     bool recv(NodeId node, Message &out) override;
 
     /**
-     * recv() with a typed status: returns RingPop::PeerDown (without
+     * recv() with a typed status: returns InboxPop::PeerDown (without
      * blocking) when @p node's inbox is empty and the node is marked
      * dead via markNodeDown — the path recovery-aware consumers use so
-     * a dead peer cannot park them forever. Ring policy only; the
-     * MutexQueue ablation maps peer-down to its ordinary blocking wait.
+     * a dead peer cannot park them forever.
      */
-    RingPop recvStatus(NodeId node, Message &out) override;
+    InboxPop recvStatus(NodeId node, Message &out) override;
 
     /**
-     * recv() with a deadline: returns RingPop::Timeout once
+     * recv() with a deadline: returns InboxPop::Timeout once
      * @p timeout_ns elapses with @p node's inbox still empty. The
      * periodic-wake primitive of a failure-detecting service loop;
-     * ignores the node's own peer-down flag (see MpscRing::popTimed).
+     * ignores the node's own peer-down flag (see
+     * LockedInbox::popTimed).
      */
-    RingPop recvTimed(NodeId node, Message &out,
-                      std::uint64_t timeout_ns) override;
+    InboxPop recvTimed(NodeId node, Message &out,
+                       std::uint64_t timeout_ns) override;
 
     /**
      * Mark @p node dead (chaos kill in progress): status-aware
@@ -118,48 +102,10 @@ class Network final : public Transport
         faults = injector;
     }
 
-    /**
-     * Register (or, with null, deregister) @p node's direct reply
-     * sink. While registered, send() offers every reply for @p node
-     * to it first — subject to the per-pair ordering guard below —
-     * and only refused replies enter the inbox. Serialized against
-     * in-flight sends: after a null store returns, no sender can
-     * still be inside the receiver.
-     *
-     * Ordering guard: a reply is only bypassed while the sender has
-     * zero other messages outstanding in the destination's inbox
-     * (per-(src, dst) counter, incremented before the inbox push and
-     * decremented by noteDispatched after the receiver finished the
-     * handler). This pins the network's in-order-per-pair guarantee
-     * across the two delivery paths: a bypassed reply can never
-     * overtake an earlier HomeMigrate install or LockForward-chain
-     * message from the same sender still sitting in the ring.
-     */
-    void setReplyReceiver(NodeId node, ReplyReceiver *receiver) override;
-
-    /**
-     * Record that @p dst fully dispatched one inbox message from
-     * @p src (handler completed): re-arms the reply-bypass ordering
-     * guard for the pair. Called by the owning Endpoint only; a
-     * consumer that drains the inbox without it (raw recv loops,
-     * checkpoint quiesce) merely leaves the guard engaged, refusing
-     * future bypasses for the pair — the safe direction.
-     */
-    void noteDispatched(NodeId dst, NodeId src) override;
-
-    /**
-     * Switch every inbox ring's empty-wait spin to the dynamically
-     * sized budget (DSM_BLOCKING_DEQ; see MpscRing::setAdaptiveSpin).
-     * Call before any consumer starts.
-     */
-    void setAdaptiveInboxSpin(bool on) override;
-
     /** Wake all receivers and make subsequent recv() return false. */
     void shutdown() override;
 
     int nnodes() const override { return static_cast<int>(inboxes.size()); }
-
-    InboxPolicy inboxPolicy() const { return policy; }
 
     const CostModel &costModel() const override { return cm; }
 
@@ -167,56 +113,14 @@ class Network final : public Transport
     std::uint64_t totalMessages() const override;
 
   private:
-    /** Seed inbox, kept as the MutexQueue ablation baseline. */
-    struct LockedInbox
-    {
-        std::mutex mu;
-        std::condition_variable cv;
-        std::deque<Message> queue;
-    };
-
-    struct Inbox
-    {
-        /** Exactly one of these is constructed, per InboxPolicy (a
-         *  1024-slot ring embeds ~100 KB of Message slots — dead
-         *  weight in the mutex ablation, and vice versa). */
-        std::unique_ptr<MpscRing> ring;
-        std::unique_ptr<LockedInbox> locked;
-        /** Last pairSeq delivered per source (consumer-side; guards
-         *  the in-order-per-pair invariant). */
-        std::vector<std::uint64_t> lastDelivered;
-    };
-
-    /** One node's reply sink, guarded by its own mutex so
-     *  deregistration (endpoint stop/teardown) synchronizes with
-     *  senders mid-delivery. */
-    struct ReceiverSlot
-    {
-        std::mutex mu;
-        ReplyReceiver *receiver = nullptr;
-    };
+    LockedInbox &inboxOf(NodeId node);
 
     CostModel cm;
     LossPlan loss;
-    InboxPolicy policy;
     FaultInjector *faults = nullptr; ///< not owned; null = layer off
-    std::vector<std::unique_ptr<Inbox>> inboxes;
-    std::vector<std::unique_ptr<ReceiverSlot>> replySlots;
+    std::vector<std::unique_ptr<LockedInbox>> inboxes;
     std::atomic<std::uint64_t> nextSeq{1};
     std::atomic<std::uint64_t> accepted{0};
-    std::atomic<bool> down{false};
-    /** Per-(src, dst) sequence stamps, MutexQueue policy only (the
-     *  ring stamps with its delivery-ordered ticket instead). */
-    std::vector<std::uint64_t> pairSeqs;
-    /** Per-(src, dst) count of inbox messages accepted but not yet
-     *  fully dispatched — the reply-bypass ordering guard. */
-    std::vector<std::atomic<std::uint32_t>> pairOutstanding;
-
-    std::size_t
-    pairIndex(NodeId src, NodeId dst) const
-    {
-        return static_cast<std::size_t>(src) * inboxes.size() + dst;
-    }
 };
 
 /** A loss plan dropping the first attempt of every @p n-th message. */

@@ -40,16 +40,12 @@ readSome(int fd, std::byte *buf, std::size_t cap)
 SocketTransport::SocketTransport(NodeId self, int nnodes,
                                  const CostModel &cost_model,
                                  SocketKind kind, std::string dir_,
-                                 LossPlan loss_plan,
-                                 std::size_t ring_capacity)
+                                 LossPlan loss_plan)
     : cm(cost_model), loss(std::move(loss_plan)), id(self),
-      numNodes(nnodes), sockKind(kind), dir(std::move(dir_))
+      numNodes(nnodes), sockKind(kind), dir(std::move(dir_)),
+      inbox(nnodes)
 {
-    DSM_ASSERT(nnodes > 0, "transport needs at least one node");
     DSM_ASSERT(self >= 0 && self < nnodes, "bad self id %d", self);
-    inbox = std::make_unique<MpscRing>(ring_capacity);
-    lastDelivered.assign(nnodes, 0);
-    srcOutstanding = std::vector<std::atomic<std::uint32_t>>(nnodes);
     out.reserve(nnodes);
     for (int i = 0; i < nnodes; ++i)
         out.push_back(std::make_unique<OutStream>());
@@ -305,7 +301,7 @@ SocketTransport::readerLoop(int fd)
                            "node %d: misrouted frame %d->%d on "
                            "stream from %d",
                            id, frame.msg.src, frame.msg.dst, peer);
-                deliverLocal(std::move(frame.msg));
+                inbox.push(std::move(frame.msg));
                 break;
             case FrameKind::Goodbye:
                 noteGoodbye(peer, frame.round);
@@ -383,85 +379,32 @@ SocketTransport::send(Message &&msg, NodeStats &sender_stats)
         return;
 
     if (msg.dst == id) {
-        deliverLocal(std::move(msg));
+        inbox.push(std::move(msg));
         return;
     }
     writeTo(msg.dst, encodeDataFrame(msg));
-}
-
-void
-SocketTransport::deliverLocal(Message &&msg)
-{
-    // Receiver-side reply bypass. Tier 0 runs this check in the
-    // sender's thread against the shared per-pair counters; here the
-    // counters live with the receiver, so the reader thread (or a
-    // self-send) applies the same guard at the same point in the
-    // delivery order — after this sender's earlier frames, before its
-    // later ones.
-    if (msg.isReply) {
-        std::lock_guard<std::mutex> g(replyMu);
-        if (replyReceiver != nullptr &&
-            srcOutstanding[msg.src].load(std::memory_order_acquire) ==
-                0 &&
-            replyReceiver->tryDeliverReply(msg)) {
-            return;
-        }
-    }
-    if (msg.type != MsgType::Shutdown) {
-        srcOutstanding[msg.src].fetch_add(1,
-                                          std::memory_order_relaxed);
-    }
-    inbox->push(std::move(msg));
 }
 
 bool
 SocketTransport::recv(NodeId node, Message &out_msg)
 {
     DSM_ASSERT(node == id, "node %d serving inbox of %d", id, node);
-    if (!inbox->pop(out_msg))
-        return false;
-    if (out_msg.pairSeq != 0) {
-        std::uint64_t &last = lastDelivered[out_msg.src];
-        DSM_ASSERT(out_msg.pairSeq > last,
-                   "out-of-order delivery %d->%d: pairSeq %llu after "
-                   "%llu",
-                   out_msg.src, node,
-                   static_cast<unsigned long long>(out_msg.pairSeq),
-                   static_cast<unsigned long long>(last));
-        last = out_msg.pairSeq;
-    }
-    return true;
+    return inbox.pop(out_msg);
 }
 
-RingPop
+InboxPop
 SocketTransport::recvStatus(NodeId node, Message &out_msg)
 {
     DSM_ASSERT(node == id, "node %d serving inbox of %d", id, node);
-    const RingPop status = inbox->popWithStatus(out_msg);
-    if (status != RingPop::Ok)
-        return status;
-    if (out_msg.pairSeq != 0) {
-        std::uint64_t &last = lastDelivered[out_msg.src];
-        DSM_ASSERT(out_msg.pairSeq > last, "out-of-order delivery");
-        last = out_msg.pairSeq;
-    }
-    return RingPop::Ok;
+    return inbox.popWithStatus(out_msg);
 }
 
-RingPop
+InboxPop
 SocketTransport::recvTimed(NodeId node, Message &out_msg,
                            std::uint64_t timeout_ns)
 {
     DSM_ASSERT(node == id, "node %d serving inbox of %d", id, node);
-    const RingPop status = inbox->popTimed(out_msg, timeout_ns);
-    if (status != RingPop::Ok)
-        return status;
-    if (out_msg.pairSeq != 0) {
-        std::uint64_t &last = lastDelivered[out_msg.src];
-        DSM_ASSERT(out_msg.pairSeq > last, "out-of-order delivery");
-        last = out_msg.pairSeq;
-    }
-    return RingPop::Ok;
+    return inbox.popTimed(out_msg, timeout_ns);
 }
 
 void
@@ -471,44 +414,20 @@ SocketTransport::markNodeDown(NodeId node)
                "socket transport cannot mark remote node %d down "
                "(in-process feature; node %d)",
                node, id);
-    inbox->setPeerDown(true);
+    inbox.setPeerDown(true);
 }
 
 void
 SocketTransport::clearNodeDown(NodeId node)
 {
     DSM_ASSERT(node == id, "bad node %d", node);
-    inbox->setPeerDown(false);
-}
-
-void
-SocketTransport::setReplyReceiver(NodeId node, ReplyReceiver *receiver)
-{
-    DSM_ASSERT(node == id,
-               "socket transport registering receiver for remote "
-               "node %d",
-               node);
-    std::lock_guard<std::mutex> g(replyMu);
-    replyReceiver = receiver;
-}
-
-void
-SocketTransport::noteDispatched(NodeId dst, NodeId src)
-{
-    DSM_ASSERT(dst == id, "dispatch note for remote node %d", dst);
-    srcOutstanding[src].fetch_sub(1, std::memory_order_release);
-}
-
-void
-SocketTransport::setAdaptiveInboxSpin(bool on)
-{
-    inbox->setAdaptiveSpin(on);
+    inbox.setPeerDown(false);
 }
 
 void
 SocketTransport::shutdown()
 {
-    inbox->shutdown();
+    inbox.shutdown();
 }
 
 void

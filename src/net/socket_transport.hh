@@ -15,13 +15,9 @@
  *
  * Delivery reuses the tier-0 machinery wholesale: one reader thread
  * per inbound stream decodes frames (net/frame.hh) and pushes them
- * into the same lock-free MpscRing the in-process Network uses, so
+ * into the same LockedInbox the in-process Network uses, so
  * recv()/recvStatus()/recvTimed(), the in-order assert, and the
- * service-thread discipline are identical across tiers. The reply
- * bypass moves from the sender's thread to the receiver's reader
- * thread: the reader offers replies to the local parked caller under
- * the same per-source outstanding-count guard Network::send uses —
- * same invariant, enforced where the shared state now lives.
+ * service-thread discipline are identical across tiers.
  *
  * Termination is the two-round goodbye documented in net/frame.hh:
  * finishRun() announces round 1 after the local workers joined, waits
@@ -67,8 +63,7 @@ class SocketTransport final : public Transport
      */
     SocketTransport(NodeId self, int nnodes, const CostModel &costModel,
                     SocketKind kind, std::string dir,
-                    LossPlan lossPlan = nullptr,
-                    std::size_t ringCapacity = MpscRing::kDefaultCapacity);
+                    LossPlan lossPlan = nullptr);
     ~SocketTransport() override;
 
     SocketTransport(const SocketTransport &) = delete;
@@ -92,18 +87,15 @@ class SocketTransport final : public Transport
     // Transport interface.
     void send(Message &&msg, NodeStats &senderStats) override;
     bool recv(NodeId node, Message &out) override;
-    RingPop recvStatus(NodeId node, Message &out) override;
-    RingPop recvTimed(NodeId node, Message &out,
-                      std::uint64_t timeout_ns) override;
+    InboxPop recvStatus(NodeId node, Message &out) override;
+    InboxPop recvTimed(NodeId node, Message &out,
+                       std::uint64_t timeout_ns) override;
     void markNodeDown(NodeId node) override;
     void clearNodeDown(NodeId node) override;
     void setFaultInjector(FaultInjector *injector) override
     {
         faults = injector;
     }
-    void setReplyReceiver(NodeId node, ReplyReceiver *receiver) override;
-    void noteDispatched(NodeId dst, NodeId src) override;
-    void setAdaptiveInboxSpin(bool on) override;
     void shutdown() override;
     int nnodes() const override { return numNodes; }
     const CostModel &costModel() const override { return cm; }
@@ -116,11 +108,6 @@ class SocketTransport final : public Transport
     SocketKind kind() const { return sockKind; }
 
   private:
-    /** Deliver a message addressed to this node (self-send or decoded
-     *  off a peer stream): reply bypass under the outstanding-count
-     *  guard, else inbox push. */
-    void deliverLocal(Message &&msg);
-
     /** Reader-thread body for one inbound stream; the first frame
      *  must be the peer's Hello. */
     void readerLoop(int fd);
@@ -147,17 +134,8 @@ class SocketTransport final : public Transport
     std::string dir;
     FaultInjector *faults = nullptr;
 
-    /** This node's inbox — the same ring the in-process tier uses. */
-    std::unique_ptr<MpscRing> inbox;
-    /** Last pairSeq delivered per source (in-order-per-pair assert). */
-    std::vector<std::uint64_t> lastDelivered;
-
-    /** Reply-bypass state for the one local node: the registered
-     *  receiver and the per-source accepted-but-undispatched counts
-     *  (the ordering guard Network keeps per (src, dst) pair). */
-    std::mutex replyMu;
-    ReplyReceiver *replyReceiver = nullptr;
-    std::vector<std::atomic<std::uint32_t>> srcOutstanding;
+    /** This node's inbox — the same one the in-process tier uses. */
+    LockedInbox inbox;
 
     int listenFd = -1;
     std::uint16_t listenPort = 0; ///< TCP only

@@ -4,7 +4,7 @@
  *
  *  - tier 0, `Network` (net/network.hh): the in-process interconnect —
  *    every node is a thread group in one address space and messages
- *    move through per-node lock-free MPSC rings. This is the
+ *    move through per-node inboxes (net/inbox.hh). This is the
  *    historical substrate every result so far was measured on.
  *  - tier 1, `SocketTransport` (net/socket_transport.hh): every node
  *    is its own OS process; messages cross real Unix-domain or TCP
@@ -21,11 +21,11 @@
  *
  * Semantics every implementation must provide:
  *  - reliable in-order delivery per (src, dst) pair;
+ *  - one delivery path: every message, replies included, enters the
+ *    destination node's LockedInbox and is drained by its service
+ *    thread, so the inbox's FIFO order is the delivery order;
  *  - virtual-time arrival stamps computed from the shared CostModel
  *    at send time (the modeled wire is identical on both tiers);
- *  - the reply-bypass ordering guard: a reply may skip the inbox only
- *    while its sender has no earlier message to the same destination
- *    still undispatched (noteDispatched re-arms the pair);
  *  - the fault-injection hook between send() and delivery.
  */
 
@@ -36,8 +36,8 @@
 #include <functional>
 
 #include "net/fault_injector.hh"
+#include "net/inbox.hh"
 #include "net/message.hh"
-#include "net/mpsc_ring.hh"
 #include "time/cost_model.hh"
 #include "util/stats.hh"
 
@@ -50,28 +50,6 @@ namespace dsm {
  */
 using LossPlan = std::function<bool(NodeId src, NodeId dst,
                                     std::uint64_t seq, int attempt)>;
-
-/**
- * Sink for replies delivered straight to the destination's parked
- * caller, skipping the inbox and the service-thread hop (the reply
- * wake is the hottest hand-off in the system: every call() pays inbox
- * push + service-thread wake + pending-map route + caller wake for a
- * message whose sole consumer is already known). Implemented by
- * Endpoint.
- */
-class ReplyReceiver
-{
-  public:
-    virtual ~ReplyReceiver() = default;
-
-    /**
-     * Try to hand @p msg to the caller parked on its reply token.
-     * Returns false — leaving @p msg intact — when no caller is
-     * parked (e.g. the destination is quiesced at a checkpoint cut);
-     * the message then takes the ordinary inbox path.
-     */
-    virtual bool tryDeliverReply(Message &msg) = 0;
-};
 
 class Transport
 {
@@ -98,20 +76,20 @@ class Transport
     virtual bool recv(NodeId node, Message &out) = 0;
 
     /**
-     * recv() with a typed status: returns RingPop::PeerDown (without
+     * recv() with a typed status: returns InboxPop::PeerDown (without
      * blocking) when @p node's inbox is empty and the node is marked
      * dead via markNodeDown — the path recovery-aware consumers use so
      * a dead peer cannot park them forever.
      */
-    virtual RingPop recvStatus(NodeId node, Message &out) = 0;
+    virtual InboxPop recvStatus(NodeId node, Message &out) = 0;
 
     /**
-     * recv() with a deadline: returns RingPop::Timeout once
+     * recv() with a deadline: returns InboxPop::Timeout once
      * @p timeout_ns elapses with @p node's inbox still empty. The
      * periodic-wake primitive of a failure-detecting service loop.
      */
-    virtual RingPop recvTimed(NodeId node, Message &out,
-                              std::uint64_t timeout_ns) = 0;
+    virtual InboxPop recvTimed(NodeId node, Message &out,
+                               std::uint64_t timeout_ns) = 0;
 
     /**
      * Mark @p node dead (chaos kill / outage in progress):
@@ -130,31 +108,6 @@ class Transport
      * to a build without the layer — one pointer test.
      */
     virtual void setFaultInjector(FaultInjector *injector) = 0;
-
-    /**
-     * Register (or, with null, deregister) @p node's direct reply
-     * sink. While registered, replies for @p node are offered to it
-     * first — subject to the per-pair ordering guard — and only
-     * refused replies enter the inbox. Serialized against in-flight
-     * deliveries: after a null store returns, no delivering thread
-     * can still be inside the receiver.
-     */
-    virtual void setReplyReceiver(NodeId node,
-                                  ReplyReceiver *receiver) = 0;
-
-    /**
-     * Record that @p dst fully dispatched one inbox message from
-     * @p src (handler completed): re-arms the reply-bypass ordering
-     * guard for the pair. Called by the owning Endpoint only.
-     */
-    virtual void noteDispatched(NodeId dst, NodeId src) = 0;
-
-    /**
-     * Switch every owned inbox ring's empty-wait spin to the
-     * dynamically sized budget (DSM_BLOCKING_DEQ). Call before any
-     * consumer starts.
-     */
-    virtual void setAdaptiveInboxSpin(bool on) = 0;
 
     /** Wake all receivers and make subsequent recv() return false. */
     virtual void shutdown() = 0;

@@ -18,7 +18,6 @@ forEachField(Stats &s, Fn fn)
     fn("retransmissions", s.retransmissions);
     fn("repliesBypassed", s.repliesBypassed);
     fn("replyBypassRefusals", s.replyBypassRefusals);
-    fn("coalesceFramesSent", s.coalesceFramesSent);
     fn("messagesCoalesced", s.messagesCoalesced);
     fn("idlePolls", s.idlePolls);
     fn("idleParks", s.idleParks);

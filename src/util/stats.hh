@@ -32,19 +32,10 @@ struct NodeStats
     std::uint64_t bytesSent = 0;
     std::uint64_t bytesReceived = 0;
     std::uint64_t retransmissions = 0;
-    /** Replies delivered straight into the blocked caller's futex
-     *  reply slot, skipping the receiver's service-thread inbox hop
-     *  (DSM_REPLY_BYPASS). Counted at the sending node. */
+    /** Always 0: reply bypass and send coalescing are gone; the
+     *  names stay because benchmark reports still sum them. */
     std::uint64_t repliesBypassed = 0;
-    /** Bypass attempts refused by the per-pair ordering guard (an
-     *  earlier inbox message from the same peer was still in flight)
-     *  or by an occupied/unregistered reply slot; the reply took the
-     *  ordinary inbox path instead. */
     std::uint64_t replyBypassRefusals = 0;
-    /** Same-destination coalescing (DSM_COALESCE): framed batches
-     *  shipped and the small messages folded into them (each frame
-     *  replaces messagesCoalesced ring slots with one). */
-    std::uint64_t coalesceFramesSent = 0;
     std::uint64_t messagesCoalesced = 0;
     /** Adaptive blocking dequeue (DSM_BLOCKING_DEQ): app-level empty
      *  polls, and the subset that gave up spinning and parked on the

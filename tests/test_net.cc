@@ -204,11 +204,11 @@ TEST_F(EndpointTest, FireAndForgetReachesHandler)
 }
 
 // ---------------------------------------------------------------------
-// MPSC reply bypass: a sender's thread hands a reply straight to the
-// parked caller's futex slot, skipping the receiver's inbox and
-// service thread.
+// One delivery path: replies travel through the caller's inbox and
+// service thread like every other message, so per-pair FIFO order
+// covers them too.
 
-TEST_F(EndpointTest, ReplyBypassSkipsInboxAndAccountsAtCaller)
+TEST_F(EndpointTest, RepliesTakeTheInboxPath)
 {
     eps[1]->setHandler([&](Message &msg) {
         WireWriter w;
@@ -221,37 +221,30 @@ TEST_F(EndpointTest, ReplyBypassSkipsInboxAndAccountsAtCaller)
     eps[1]->start();
 
     Message reply = eps[0]->call(1, MsgType::LockRequest, {});
-    // Bypassed replies never pass the inbox, so they carry no pair
-    // sequence stamp (the ring assigns it at push) — the stamp's
-    // absence is the observable proof the fast path ran.
-    EXPECT_EQ(reply.pairSeq, 0u);
+    // The inbox stamps every message it carries: the first message
+    // from node 1 to node 0 is pair sequence 1.
+    EXPECT_EQ(reply.pairSeq, 1u);
     WireReader r(reply.payload);
     EXPECT_EQ(r.getU32(), 77u);
-    // The receiver-side wire accounting moved to the woken caller.
+    // The receiving service thread did the wire accounting.
     EXPECT_EQ(stats[0].messagesReceived, 1u);
     EXPECT_GT(stats[0].bytesReceived, 0u);
 }
 
-TEST_F(EndpointTest, BypassedDuplicateReply)
+TEST_F(EndpointTest, DuplicateReplyDeliveredOnce)
 {
-    // Seeded regression: with faults armed the bypass stays engaged,
-    // so a retransmitted duplicate of a reply that already landed via
-    // the futex slot must lose the race exactly once. The responder
-    // sends the same reply twice; the first fills the slot, the second
-    // finds ready != 0 (or no waiter at all) and drains through the
-    // service thread's duplicate handling without double-applying.
+    // With faults armed a responder may answer one request twice (the
+    // recorded-reply resend of a dedup hit). The caller must take
+    // exactly one reply per round — the one for its own token — and
+    // the service thread must drop the other copy.
     eps[1]->setHandler([&](Message &msg) {
-        WireWriter w;
-        w.putU32(0x51);
-        eps[1]->reply(msg.src, MsgType::LockGrant, w.take(),
-                      msg.replyToken);
-        // The recorded-reply resend a dedup hit would emit.
-        WireWriter w2;
-        w2.putU32(0x51);
-        eps[1]->reply(msg.src, MsgType::LockGrant, w2.take(),
-                      msg.replyToken);
+        const int copies = msg.type == MsgType::LockRequest ? 2 : 1;
+        for (int c = 0; c < copies; ++c) {
+            eps[1]->reply(msg.src, MsgType::LockGrant, msg.payload,
+                          msg.replyToken);
+        }
     });
-    eps[0]->setHandler([](Message &) {});
+    eps[0]->setHandler([](Message &) { FAIL(); });
     eps[0]->setFaultsEnabled(true);
     eps[1]->setFaultsEnabled(true);
     eps[0]->start();
@@ -259,27 +252,51 @@ TEST_F(EndpointTest, BypassedDuplicateReply)
 
     constexpr int kRounds = 200;
     for (int i = 0; i < kRounds; ++i) {
-        Message reply = eps[0]->call(1, MsgType::LockRequest, {});
+        WireWriter w;
+        w.putU32(static_cast<std::uint32_t>(i));
+        Message reply = eps[0]->call(1, MsgType::LockRequest, w.take());
         WireReader r(reply.payload);
-        EXPECT_EQ(r.getU32(), 0x51u) << "round " << i;
+        EXPECT_EQ(r.getU32(), static_cast<std::uint32_t>(i))
+            << "round " << i;
     }
-    // Exactly one copy per round was applied: every duplicate either
-    // bounced off the occupied slot (a counted refusal) or arrived
-    // after the token was erased and fell into the faults-on drop.
-    EXPECT_EQ(stats[1].repliesBypassed + stats[1].replyBypassRefusals,
-              2u * kRounds);
-    EXPECT_GE(stats[1].repliesBypassed, 1u);
+    // Fence: a single-reply call returns only after every earlier
+    // reply from node 1, duplicates included, was dispatched.
+    (void)eps[0]->call(1, MsgType::DiffRequest, {});
+    EXPECT_EQ(stats[0].messagesReceived, 2u * kRounds + 1);
+    EXPECT_EQ(stats[1].messagesSent, 2u * kRounds + 1);
 }
 
-TEST_F(EndpointTest, BypassedReplyNeverOvertakesHomeMigrateInstall)
+TEST_F(EndpointTest, FaultTolerantCallerWokenByReply)
 {
-    // The ordering hazard the per-pair guard exists for: the responder
-    // first fire-and-forgets a HomeMigrate install, *then* replies.
-    // A bypassed reply that overtook the install would let the caller
-    // touch a page whose home it believes already moved. The guard
-    // refuses the bypass until the install's handler has fully run, so
-    // whenever call() returns — via slot or inbox — the install for
-    // that round is complete.
+    // With faults armed a droppable call parks in a timed futex wait
+    // until its retransmit deadline. The reply must wake it: with a
+    // deadline far beyond any round trip, no call needs a retransmit.
+    eps[1]->setHandler([&](Message &msg) {
+        eps[1]->reply(msg.src, MsgType::BarrierDepart, {},
+                      msg.replyToken);
+    });
+    eps[0]->setHandler([](Message &) {});
+    for (auto &ep : eps) {
+        ep->setFaultsEnabled(true);
+        ep->setRetransmitTimeouts(10'000'000'000ull, 10'000'000'000ull);
+        ep->start();
+    }
+
+    for (int i = 0; i < 5; ++i) {
+        Message reply = eps[0]->call(1, MsgType::BarrierArrive, {});
+        EXPECT_EQ(reply.type, MsgType::BarrierDepart);
+    }
+    EXPECT_EQ(stats[0].msgRetransmits, 0u);
+}
+
+TEST_F(EndpointTest, ReplyNeverOvertakesHomeMigrateInstall)
+{
+    // Ordering regression: the responder first fire-and-forgets a
+    // HomeMigrate install, *then* replies. A reply that overtook the
+    // install would let the caller touch a page whose home it
+    // believes already moved. Both share the caller's inbox, so
+    // whenever call() returns, the install for that round is
+    // complete.
     std::atomic<int> migrates{0};
     eps[1]->setHandler([&](Message &msg) {
         eps[1]->send(msg.src, MsgType::HomeMigrate,
@@ -289,8 +306,8 @@ TEST_F(EndpointTest, BypassedReplyNeverOvertakesHomeMigrateInstall)
     });
     eps[0]->setHandler([&](Message &msg) {
         ASSERT_EQ(msg.type, MsgType::HomeMigrate);
-        // Widen the race window: an unguarded bypass would return
-        // from call() while this handler still sleeps.
+        // Widen the race window: a reply that skipped the inbox
+        // would return from call() while this handler still sleeps.
         std::this_thread::sleep_for(std::chrono::microseconds(50));
         migrates.fetch_add(1);
     });
@@ -301,18 +318,11 @@ TEST_F(EndpointTest, BypassedReplyNeverOvertakesHomeMigrateInstall)
     for (int i = 0; i < kRounds; ++i) {
         Message reply = eps[0]->call(1, MsgType::HomePageRequest, {});
         EXPECT_EQ(reply.type, MsgType::HomePageReply);
-        // The install choreographed before this reply is visible
-        // before the caller resumes, on both delivery paths.
         EXPECT_EQ(migrates.load(), i + 1) << "round " << i;
     }
-    // Both paths must actually get exercised for the test to bite:
-    // with the sleep in the install handler most replies are refused
-    // into the inbox, but some rounds race past it and bypass.
-    EXPECT_EQ(stats[1].repliesBypassed + stats[1].replyBypassRefusals,
-              static_cast<std::uint64_t>(kRounds));
 }
 
-TEST_F(EndpointTest, BypassedLockGrantNeverOvertakesLockForward)
+TEST_F(EndpointTest, LockGrantNeverOvertakesLockForward)
 {
     // Same invariant, lock-protocol shape: a manager forwards an
     // in-flight request to the new owner (fire-and-forget LockForward)
@@ -341,47 +351,43 @@ TEST_F(EndpointTest, BypassedLockGrantNeverOvertakesLockForward)
     }
 }
 
-TEST(TinyRing, MpscStressWithBypassArmed)
+TEST_F(EndpointTest, ConcurrentCallersWithOneWayChatter)
 {
-    // A deliberately tiny inbox ring (8 slots) forces constant
-    // producer backpressure while the bypass is armed: replies skip
-    // the ring, fire-and-forget chatter fights for the 8 slots, and
-    // the per-pair guard flips between zero and nonzero on every
-    // message. Multiple caller threads make the pending map and the
-    // guard counters genuinely concurrent.
-    CostModel cm;
-    Network net(2, cm, nullptr, InboxPolicy::LockFreeRing, 8);
-    VirtualClock clocks[2];
-    NodeStats stats[2];
-    Endpoint ep0(net, 0, clocks[0], stats[0]);
-    Endpoint ep1(net, 1, clocks[1], stats[1]);
-
+    // Several caller threads share one endpoint (the pending map is
+    // genuinely concurrent) while the responder interleaves one-way
+    // traffic ahead of every reply: each caller gets its own reply,
+    // and every one-way message is dispatched exactly once.
     std::atomic<int> chatter{0};
-    ep1.setHandler([&](Message &msg) {
-        // Echo the payload and shower the caller's tiny ring with
-        // non-reply traffic the bypassed reply must not overtake.
-        ep1.send(msg.src, MsgType::HomeDiffFlush,
-                 std::vector<std::byte>(5));
-        ep1.reply(msg.src, MsgType::LockGrant, msg.payload,
-                  msg.replyToken);
+    eps[1]->setHandler([&](Message &msg) {
+        eps[1]->send(msg.src, MsgType::HomeDiffFlush,
+                     std::vector<std::byte>(5));
+        eps[1]->reply(msg.src, MsgType::LockGrant, msg.payload,
+                      msg.replyToken);
     });
-    ep0.setHandler([&](Message &msg) {
+    eps[0]->setHandler([&](Message &msg) {
         ASSERT_EQ(msg.type, MsgType::HomeDiffFlush);
         chatter.fetch_add(1);
     });
-    ep0.start();
-    ep1.start();
+    eps[0]->start();
+    eps[1]->start();
 
     constexpr int kThreads = 4;
     constexpr int kCallsPerThread = 250;
     std::vector<std::thread> callers;
     for (int t = 0; t < kThreads; ++t) {
         callers.emplace_back([&, t] {
+            // Each caller counts into its own stats delta (the
+            // single-writer discipline of NodeStats).
+            ThreadContext ctx;
+            ctx.node = 0;
+            ctx.threadId = t;
+            ctx.clock = &clocks[0];
+            ThreadContext::Scope scope(&ctx);
             for (int i = 0; i < kCallsPerThread; ++i) {
                 WireWriter w;
                 w.putU32(static_cast<std::uint32_t>(t * 1000 + i));
                 Message reply =
-                    ep0.call(1, MsgType::LockRequest, w.take());
+                    eps[0]->call(1, MsgType::LockRequest, w.take());
                 WireReader r(reply.payload);
                 ASSERT_EQ(r.getU32(),
                           static_cast<std::uint32_t>(t * 1000 + i));
@@ -390,78 +396,9 @@ TEST(TinyRing, MpscStressWithBypassArmed)
     }
     for (auto &th : callers)
         th.join();
-    while (chatter.load() < kThreads * kCallsPerThread)
-        std::this_thread::yield();
+    // Each reply was queued behind its chatter message, so all of it
+    // has been dispatched by the time the last call returned.
     EXPECT_EQ(chatter.load(), kThreads * kCallsPerThread);
-
-    ep0.stop();
-    ep1.stop();
-    net.shutdown();
-}
-
-// ---------------------------------------------------------------------
-// Send-side coalescing: small same-destination one-way messages ride
-// one framed ring slot, flushed at request boundaries.
-
-TEST_F(EndpointTest, CoalescedFrameDeliversAllBeforeRequest)
-{
-    eps[0]->setCoalescing(true);
-    std::vector<MsgType> order;
-    std::mutex orderMu;
-    eps[1]->setHandler([&](Message &msg) {
-        {
-            std::lock_guard<std::mutex> g(orderMu);
-            order.push_back(msg.type);
-        }
-        if (msg.replyToken != 0)
-            eps[1]->reply(msg.src, MsgType::HomePageReply, {},
-                          msg.replyToken);
-    });
-    eps[0]->setHandler([](Message &) {});
-    eps[0]->start();
-    eps[1]->start();
-
-    // Three coalescable one-way sends buffer locally...
-    for (int i = 0; i < 3; ++i)
-        eps[0]->send(1, MsgType::HomeDiffFlush,
-                     std::vector<std::byte>(4));
-    EXPECT_EQ(stats[0].coalesceFramesSent, 0u);
-    // ...and the request boundary flushes them ahead of the call.
-    Message reply = eps[0]->call(1, MsgType::HomePageRequest, {});
-    EXPECT_EQ(reply.type, MsgType::HomePageReply);
-
-    std::lock_guard<std::mutex> g(orderMu);
-    ASSERT_EQ(order.size(), 4u);
-    for (int i = 0; i < 3; ++i)
-        EXPECT_EQ(order[i], MsgType::HomeDiffFlush);
-    EXPECT_EQ(order[3], MsgType::HomePageRequest);
-    EXPECT_EQ(stats[0].coalesceFramesSent, 1u);
-    EXPECT_EQ(stats[0].messagesCoalesced, 3u);
-}
-
-TEST_F(EndpointTest, SingleBufferedMessageShipsUnframed)
-{
-    eps[0]->setCoalescing(true);
-    std::atomic<int> flushes{0};
-    eps[1]->setHandler([&](Message &msg) {
-        if (msg.type == MsgType::HomeDiffFlush)
-            flushes.fetch_add(1);
-        if (msg.replyToken != 0)
-            eps[1]->reply(msg.src, MsgType::HomePageReply, {},
-                          msg.replyToken);
-    });
-    eps[0]->setHandler([](Message &) {});
-    eps[0]->start();
-    eps[1]->start();
-
-    eps[0]->send(1, MsgType::HomeDiffFlush, std::vector<std::byte>(4));
-    Message reply = eps[0]->call(1, MsgType::HomePageRequest, {});
-    EXPECT_EQ(reply.type, MsgType::HomePageReply);
-    EXPECT_EQ(flushes.load(), 1);
-    // A buffer of one skips the frame: no framing overhead, and no
-    // degenerate single-entry CoalescedFrame on the wire.
-    EXPECT_EQ(stats[0].coalesceFramesSent, 0u);
-    EXPECT_EQ(stats[0].messagesCoalesced, 0u);
 }
 
 // ---------------------------------------------------------------------

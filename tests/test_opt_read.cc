@@ -13,10 +13,9 @@
  *    and home hand-offs coexist without corrupting values;
  *  - checkpoint/restore rebuilds the (deliberately unserialized)
  *    version footers and the fast path keeps working after recovery;
- *  - the sender-side reply bypass stays ordered with respect to
- *    HomeMigrate broadcasts and forwarded lock grants (stress over
- *    the exact message mix that reorders when replies jump the
- *    inbox).
+ *  - replies stay ordered with respect to HomeMigrate broadcasts
+ *    and forwarded lock grants (stress over the exact message mix
+ *    that reorders if a reply ever jumps the inbox).
  */
 
 #include <gtest/gtest.h>
@@ -340,16 +339,15 @@ TEST(OptRead, CheckpointRebuildsVersionFooters)
 }
 
 // ---------------------------------------------------------------------
-// Reply bypass vs HomeMigrate/LockForward ordering: with the
-// sender-side bypass, a reply can overtake earlier non-reply messages
-// (migration broadcasts, forwarded lock requests) from the same
-// sender. The protocol guards (migration epochs, appliedVt dominance,
-// is-home re-checks) must absorb every such reordering. This test
-// maximizes the hazardous mix: forwarded lock chains (manager !=
-// owner), aggressive home migration, SMP nodes (several parked
-// callers per endpoint), and verifies exact values throughout.
+// Reply vs HomeMigrate/LockForward ordering: replies share the inbox
+// with every other message, so a reply can never overtake an earlier
+// non-reply message (migration broadcast, forwarded lock request)
+// from the same sender. This ordering regression maximizes the mix
+// that breaks if a reply ever skips the inbox again: forwarded lock
+// chains (manager != owner), aggressive home migration, SMP nodes
+// (several parked callers per endpoint), and exact values throughout.
 
-TEST(OptRead, ReplyBypassOrderingUnderMigrationAndForwarding)
+TEST(OptRead, ReplyOrderingUnderMigrationAndForwarding)
 {
     constexpr int kInts = 512;
     constexpr int kRounds = 16;
@@ -358,7 +356,7 @@ TEST(OptRead, ReplyBypassOrderingUnderMigrationAndForwarding)
         cc.homeMigrateThreshold = 2; // migrate eagerly on access counts
         Cluster cluster(cc);
         cluster.run([&](Runtime &rt) {
-            auto a = SharedArray<int>::alloc(rt, kInts, 4, "bypass");
+            auto a = SharedArray<int>::alloc(rt, kInts, 4, "order");
             const int nw = rt.nworkers();
             const int w = rt.worker();
             const int chunk = kInts / nw;
@@ -367,8 +365,8 @@ TEST(OptRead, ReplyBypassOrderingUnderMigrationAndForwarding)
                 // Every worker bounces the same lock (manager node 0,
                 // owner rotating: every acquire is a LockForward
                 // chain) and rewrites its chunk; homes chase the
-                // writers through HomeMigrate broadcasts whose
-                // replies-in-flight the bypass can reorder past.
+                // writers through HomeMigrate broadcasts that must
+                // stay ordered ahead of later replies.
                 rt.acquire(9, AccessMode::Write);
                 for (int i = 0; i < chunk; ++i)
                     a.set(w * chunk + i, round * 10000 + w * 100 + i);

@@ -52,14 +52,11 @@ struct ProtocolLeg
      *  be invisible in the final state — bit-identical to every other
      *  leg — including while homes migrate under the reads. */
     bool optRead = false;
-    /** Latency-path legs (PR 9): -1 keeps the env sentinel (so the
-     *  DSM_REPLY_BYPASS / DSM_BLOCKING_DEQ / DSM_COALESCE CI sweeps
-     *  flip the whole grid), 0/1 forces the knob for this leg. All
-     *  three change only where wall-clock and wire slots go — any
-     *  byte they move is a conformance failure. */
-    int replyBypass = -1;
+    /** Blocking-dequeue leg: -1 keeps the env sentinel (so the
+     *  DSM_BLOCKING_DEQ CI sweep flips the whole grid), 0/1 forces
+     *  the knob for this leg. It changes only where wall-clock goes —
+     *  any byte it moves is a conformance failure. */
     int blockingDeq = -1;
-    int coalesce = -1;
     /** Per-lock adaptive fairness bound (DSM_LOCK_FAIRNESS_ADAPT):
      *  reshapes hand-off scheduling, never values. */
     bool adaptFair = false;
@@ -86,30 +83,16 @@ const ProtocolLeg kLegs[] = {
     {"LRC_home_optread", "LRC-diff", true, true, 0, false, false, true},
     {"LRC_home_optread_migrate", "LRC-diff", true, true, 0, true, false,
      true},
-    // Latency-path legs (PR 9). Reply bypass defaults *on*, so the
-    // interesting forced leg is bypass-off (the reference implicitly
-    // covers bypass-on); blocking dequeue, coalescing, and adaptive
-    // fairness default off, so each gets a forced-on leg. Home-based
-    // legs matter most for coalescing (HomeDiffFlush / HomeMigrate are
-    // the only coalescable types) and for the bypass ordering guard
-    // (migrate installs racing bypassed replies).
-    {"EC_nobypass", "EC-diff", false, true, 0, false, false, false, 0},
-    {"LRC_home_nobypass", "LRC-diff", true, true, 0, false, false,
-     false, 0},
+    // Latency-path legs. Blocking dequeue and adaptive fairness
+    // default off, so each gets a forced-on leg.
     {"EC_blockingdeq", "EC-diff", false, true, 0, false, false, false,
-     -1, 1},
+     1},
     {"LRC_home_blockingdeq", "LRC-diff", true, true, 0, false, false,
-     false, -1, 1},
-    {"LRC_coalesce", "LRC-diff", false, true, 0, false, false, false,
-     -1, -1, 1},
-    {"LRC_home_coalesce", "LRC-diff", true, true, 0, false, false,
-     false, -1, -1, 1},
-    {"LRC_home_coalesce_defer", "LRC-diff", true, true, 0, false, true,
-     false, -1, -1, 1},
+     false, 1},
     {"EC_fair_adaptive", "EC-diff", false, true, 4, false, false, false,
-     -1, -1, -1, true},
+     -1, true},
     {"LRC_home_latency_all", "LRC-diff", true, true, 4, true, true,
-     true, 1, 1, 1, true},
+     true, 1, true},
 };
 
 struct KernelCase
@@ -142,9 +125,7 @@ runLeg(const ProtocolLeg &leg, const KernelCase &kc)
     // sentinel so a DSM_OPT_READ=1 CI sweep turns the whole grid on.
     if (leg.optRead)
         cc.optimisticHomeReads = 1;
-    cc.replyBypass = leg.replyBypass;
     cc.blockingDequeue = leg.blockingDeq;
-    cc.coalesceSends = leg.coalesce;
     if (leg.adaptFair)
         cc.lockFairnessAdaptive = 1;
     // Last-writer legs use an aggressive classifier and a tiny

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "net/network.hh"
@@ -418,39 +419,90 @@ TEST(AdaptiveFairness, SeedsGrowsAndShrinks)
         EXPECT_EQ(app.fairnessBoundShrinks, 0u);
     }
 
-    // Phase 2 — shrink, on a fresh lock still at the seed bound of 4:
-    // a node-1 contender repeatedly queues at the owner while the
-    // node-0 pair keeps hand-offs running. Whenever four consecutive
-    // hand-offs run with the remote queued, the forced grant halves
-    // the bound.
+    // Phase 2 — shrink, choreographed on a fresh lock still at the
+    // seed bound of 4. Node 0 (lock 2's manager and initial owner)
+    // holds the lock while a node-1 contender's request queues there;
+    // then two node-0 threads hand the lock back and forth, each
+    // release waiting until the sibling has provably parked. Every
+    // local grant extends the run, so the fourth release is the one
+    // that finds the run at the bound with the remote still queued:
+    // exactly one forced grant, and the bound halves to 2. Ownership
+    // then leaves the node, and the parked thread re-acquires
+    // remotely once the contender releases.
+    const NodeStats before = app;
     {
-        std::vector<std::thread> ts;
-        for (int tid = 0; tid < 2; ++tid) {
-            ts.push_back(worker(0, tid, [&] {
-                for (int k = 0; k < 300; ++k) {
-                    locks0.acquire(2, AccessMode::Write);
-                    std::this_thread::yield();
-                    locks0.release(2);
+        // Each scripted thread alternates acquire/release of lock 2,
+        // one operation per go[] step the test hands it.
+        std::atomic<int> go[2] = {0, 0};
+        std::atomic<int> done[2] = {0, 0};
+        const auto scripted = [&](int tid, int ops) {
+            return worker(0, tid, [&, tid, ops] {
+                for (int op = 0; op < ops; ++op) {
+                    while (go[tid].load() <= op)
+                        std::this_thread::yield();
+                    if (op % 2 == 0)
+                        locks0.acquire(2, AccessMode::Write);
+                    else
+                        locks0.release(2);
+                    done[tid].store(op + 1);
                 }
-            }));
-        }
+            });
+        };
+        const auto step = [&](int tid) { go[tid].fetch_add(1); };
+        const auto awaitDone = [&](int tid, int n) {
+            while (done[tid].load() < n)
+                std::this_thread::yield();
+        };
+        const auto awaitParked = [&] {
+            while (locks0.localWaiterCount(2) != 1)
+                std::this_thread::yield();
+        };
+
+        std::vector<std::thread> ts;
+        ts.push_back(scripted(0, 6));
+        ts.push_back(scripted(1, 4));
+        step(0); // t0 acquires: run 1
+        awaitDone(0, 1);
         ts.push_back(worker(1, 0, [&] {
-            for (int k = 0; k < 30; ++k) {
-                locks1.acquire(2, AccessMode::Write);
-                locks1.release(2);
-            }
+            locks1.acquire(2, AccessMode::Write);
+            locks1.release(2);
         }));
+        while (locks0.pendingRemoteCount(2) != 1)
+            std::this_thread::yield();
+
+        step(1); // t1 parks behind t0
+        awaitParked();
+        step(0); // t0 releases; t1 takes it: run 2
+        awaitDone(1, 1);
+        step(0); // t0 parks behind t1
+        awaitParked();
+        step(1); // t1 releases; t0 takes it: run 3
+        awaitDone(0, 3);
+        step(1); // t1 parks behind t0
+        awaitParked();
+        step(0); // t0 releases; t1 takes it: run 4
+        awaitDone(1, 3);
+        step(0); // t0 parks behind t1
+        awaitParked();
+        EXPECT_EQ(locks0.currentFairnessBound(2), 4u);
+        step(1); // t1 releases at the bound: forced remote grant
+        awaitDone(0, 5); // t0 re-acquired through the manager
+        step(0); // t0 releases
         for (auto &t : ts)
             t.join();
     }
     {
         std::lock_guard<std::mutex> g(appMu);
-        EXPECT_GE(app.fairnessBoundShrinks, 1u);
-        EXPECT_GE(app.remoteHandoffsForced, 1u);
+        EXPECT_EQ(app.remoteHandoffsForced - before.remoteHandoffsForced,
+                  1u);
+        EXPECT_EQ(app.fairnessBoundShrinks - before.fairnessBoundShrinks,
+                  1u);
+        EXPECT_EQ(app.fairnessBoundGrows, before.fairnessBoundGrows);
+        EXPECT_EQ(app.intraNodeLockHandoffs -
+                      before.intraNodeLockHandoffs,
+                  3u);
     }
-    const std::uint32_t settled = locks0.currentFairnessBound(2);
-    EXPECT_GE(settled, 1u);
-    EXPECT_LE(settled, 64u);
+    EXPECT_EQ(locks0.currentFairnessBound(2), 2u);
 
     ep0.stop();
     ep1.stop();

@@ -57,7 +57,7 @@ expectSameMessage(const Message &got, const Message &want)
     EXPECT_EQ(std::memcmp(got.payload.data(), want.payload.data(),
                           want.payload.size()),
               0);
-    // pairSeq never travels: the receiver's ring stamps it at push.
+    // pairSeq never travels: the receiver's inbox stamps it at push.
     EXPECT_EQ(got.pairSeq, 0u);
 }
 
@@ -232,8 +232,8 @@ TEST(FrameCodec, EncodedFrameOwnsItsBytes)
 
 // ---------------------------------------------------------------------
 // Socket-pair choreography: two SocketTransports in one process — the
-// frame path, reader threads and receiver-side bypass are exactly the
-// forked layout, minus the fork.
+// frame path and reader threads are exactly the forked layout, minus
+// the fork.
 
 namespace {
 
@@ -349,7 +349,7 @@ TEST(SocketPair, RetransmitRecoversInjectedDrops)
 TEST(SocketPair, MarkNodeDownSurfacesPeerDownLocally)
 {
     // The socket tier owns exactly one inbox; marking *this* node
-    // down must surface RingPop::PeerDown to its service loop (the
+    // down must surface InboxPop::PeerDown to its service loop (the
     // degraded-mode dequeue contract), and clearing it must restore
     // normal timeouts. Remote marks are an in-process-only feature
     // and assert on the socket tier.
@@ -358,12 +358,12 @@ TEST(SocketPair, MarkNodeDownSurfacesPeerDownLocally)
     {
         SocketTransport only(0, 1, cm, SocketKind::Unix, dir);
         Message out;
-        EXPECT_EQ(only.recvTimed(0, out, 1'000'000), RingPop::Timeout);
+        EXPECT_EQ(only.recvTimed(0, out, 1'000'000), InboxPop::Timeout);
         only.markNodeDown(0);
         // The status-aware dequeue refuses to park on a dead peer.
-        EXPECT_EQ(only.recvStatus(0, out), RingPop::PeerDown);
+        EXPECT_EQ(only.recvStatus(0, out), InboxPop::PeerDown);
         only.clearNodeDown(0);
-        EXPECT_EQ(only.recvTimed(0, out, 1'000'000), RingPop::Timeout);
+        EXPECT_EQ(only.recvTimed(0, out, 1'000'000), InboxPop::Timeout);
     }
     removeRendezvousDir(dir);
 }

@@ -19,8 +19,8 @@ Usage:
                         [--net-tolerance 0.35]
 
 Exit status 1 when any gated ratio falls below baseline * (1 - tol).
-The net ratios get a wider default tolerance: the RPC/fan-in speedups
-depend on the runner's core count, while the diff-kernel ratios only
+The net ratios get a wider default tolerance: the RPC round-trip ratio
+depends on the runner's core count, while the diff-kernel ratios only
 depend on the ISA.
 """
 
@@ -89,31 +89,7 @@ def gate_diff(gate, fresh, baseline, tolerance):
 
 
 def gate_net(gate, fresh, baseline, tolerance):
-    print("BENCH_net.json (MPSC inbox / latency-path ratios):")
-    for key in ("rpc_speedup", "fanin_speedup", "rpc_bypass_speedup"):
-        if key not in baseline:
-            print(f"  net/{key}: no committed baseline, skipping")
-            continue
-        if key not in fresh:
-            # A truncated or renamed fresh file must not slip through
-            # as "nothing to check".
-            gate.failures.append(f"net/{key}: missing from fresh "
-                                 "results")
-            continue
-        gate.check(f"net/{key}", fresh[key], baseline[key], tolerance)
-    # The coalescing ablation's wire-message reduction is a modeled
-    # (deterministic) count ratio, not a timing: it is bit-stable
-    # across hosts, so it gets a near-zero tolerance regardless of the
-    # net timing tolerance.
-    key = "coalesce_msg_reduction"
-    if key in baseline:
-        if key not in fresh:
-            gate.failures.append(f"net/{key}: missing from fresh "
-                                 "results")
-        else:
-            gate.check(f"net/{key}", fresh[key], baseline[key], 0.01)
-    else:
-        print(f"  net/{key}: no committed baseline, skipping")
+    print("BENCH_net.json (in-process vs socket round trip):")
     # ring_p50 / socket_p50 gates the tier-1 frame path: a regression
     # in the codec or the reader-thread handoff inflates the socket
     # round trip and drags this ratio below its floor, while both
