@@ -2,8 +2,8 @@
  * @file
  * Shared plumbing for the table-reproduction benches: workload scale
  * selection (DSM_SCALE=test|bench|paper), the 8-node cluster base
- * configuration, and paper-reference values for EXPERIMENTS.md
- * comparisons.
+ * configuration, paper-reference values for EXPERIMENTS.md
+ * comparisons, and the host block of the BENCH_*.json files.
  */
 
 #ifndef DSM_BENCH_COMMON_HH
@@ -11,7 +11,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
 
 #include "driver/experiment.hh"
 #include "driver/table.hh"
@@ -129,6 +131,39 @@ paperTable3()
         {"3D-FFT", 39.82, 8.32, 9.23, "ci", "diff"},
     };
     return kRows;
+}
+
+/** First "model name" line of /proc/cpuinfo, or "unknown". */
+inline std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const std::size_t colon = line.find(':');
+        if (colon != std::string::npos)
+            return line.substr(line.find_first_not_of(' ', colon + 1));
+    }
+    return "unknown";
+}
+
+/** The `"host": {...},` member that opens every BENCH_*.json object
+ *  (core count, CPU model, build type), so a number is only compared
+ *  with one recorded on the same class of host. */
+inline std::string
+hostJson()
+{
+    return "  \"host\": {\n"
+           "    \"nproc\": " +
+           std::to_string(std::thread::hardware_concurrency()) +
+           ",\n"
+           "    \"cpu_model\": \"" +
+           cpuModel() +
+           "\",\n"
+           "    \"build_type\": \"" DSM_BUILD_TYPE "\"\n"
+           "  },\n";
 }
 
 } // namespace dsm

@@ -26,6 +26,7 @@
 #include <cstring>
 #include <vector>
 
+#include "bench_common.hh"
 #include "core/checkpoint.hh"
 #include "core/cluster.hh"
 #include "core/shared_array.hh"
@@ -159,6 +160,7 @@ main()
         std::fprintf(
             f,
             "{\n"
+            "%s"
             "  \"array_kib\": %d,\n"
             "  \"sparse_epochs\": %d,\n"
             "  \"ckpt_full_bytes\": %llu,\n"
@@ -167,7 +169,7 @@ main()
             "  \"delta_scan_gbps\": %.2f,\n"
             "  \"delta_size_fraction\": %.4f\n"
             "}\n",
-            kWords * 8 / 1024, kSparseEpochs,
+            hostJson().c_str(), kWords * 8 / 1024, kSparseEpochs,
             static_cast<unsigned long long>(fullBytes),
             static_cast<unsigned long long>(deltaBytes), reduction,
             scan.gbps, scan.deltaFrac);

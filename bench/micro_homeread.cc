@@ -27,6 +27,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "bench_common.hh"
 #include "core/cluster.hh"
 #include "core/shared_array.hh"
 
@@ -221,10 +222,11 @@ main()
         return 1;
     }
 
-    char json[512];
+    char json[1024];
     std::snprintf(
         json, sizeof(json),
         "{\n"
+        "%s"
         "  \"clients\": %d,\n"
         "  \"client_threads\": %d,\n"
         "  \"pool_pages\": %d,\n"
@@ -235,8 +237,9 @@ main()
         "  \"opt_reads_served\": %llu,\n"
         "  \"opt_read_fallbacks\": %llu\n"
         "}\n",
-        kClients, kThreads, kPoolPages, kRounds, rate_off, rate_on,
-        speedup, static_cast<unsigned long long>(on.optReadsServed),
+        hostJson().c_str(), kClients, kThreads, kPoolPages, kRounds,
+        rate_off, rate_on, speedup,
+        static_cast<unsigned long long>(on.optReadsServed),
         static_cast<unsigned long long>(on.optReadFallbacks));
 
     const char *out_path = "BENCH_homeread.json";

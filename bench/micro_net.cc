@@ -20,11 +20,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.hh"
 #include "driver/proc_launcher.hh"
 #include "net/endpoint.hh"
 #include "net/network.hh"
@@ -131,22 +131,6 @@ rpcRoundTripSocket(int iters)
     return r;
 }
 
-/** First "model name" line of /proc/cpuinfo, or "unknown". */
-std::string
-cpuModel()
-{
-    std::ifstream in("/proc/cpuinfo");
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.rfind("model name", 0) != 0)
-            continue;
-        const std::size_t colon = line.find(':');
-        if (colon != std::string::npos)
-            return line.substr(line.find_first_not_of(' ', colon + 1));
-    }
-    return "unknown";
-}
-
 } // namespace
 
 int
@@ -170,16 +154,11 @@ main()
     std::printf("%-30s %9.3fx\n", "in-process/socket p50 ratio",
                 ring_vs_socket_p50);
 
-    const std::string cpu = cpuModel();
     char json[2048];
     std::snprintf(
         json, sizeof(json),
         "{\n"
-        "  \"host\": {\n"
-        "    \"nproc\": %u,\n"
-        "    \"cpu_model\": \"%s\",\n"
-        "    \"build_type\": \"%s\"\n"
-        "  },\n"
+        "%s"
         "  \"rpc_iters\": %d,\n"
         "  \"rpc_roundtrip_ring_ns\": %.0f,\n"
         "  \"rpc_roundtrip_ring_p50_ns\": %.0f,\n"
@@ -189,9 +168,9 @@ main()
         "  \"rpc_roundtrip_socket_p99_ns\": %.0f,\n"
         "  \"rpc_ring_vs_socket_p50\": %.3f\n"
         "}\n",
-        std::thread::hardware_concurrency(), cpu.c_str(), DSM_BUILD_TYPE,
-        rpc_iters, rpc.meanNs, rpc.p50Ns, rpc.p99Ns, rpc_socket.meanNs,
-        rpc_socket.p50Ns, rpc_socket.p99Ns, ring_vs_socket_p50);
+        hostJson().c_str(), rpc_iters, rpc.meanNs, rpc.p50Ns, rpc.p99Ns,
+        rpc_socket.meanNs, rpc_socket.p50Ns, rpc_socket.p99Ns,
+        ring_vs_socket_p50);
 
     const char *out_path = "BENCH_net.json";
     if (FILE *f = std::fopen(out_path, "w")) {

@@ -305,10 +305,11 @@ Cluster::runAsProcesses(const std::function<void(Runtime &)> &app_main)
     }
 
     // Fork before any endpoint starts: the whole cluster was built
-    // single-threaded, so every child inherits identical pre-run
-    // state — arenas, allocation logs, resolved config. Flush stdio
-    // first: a forked copy of the parent's buffered output would be
-    // re-flushed by every child at its own exit.
+    // single-threaded, so every child starts from identical pre-run
+    // state — arenas (shared with the parent), allocation logs,
+    // resolved config. Flush stdio first: a forked copy of the
+    // parent's buffered output would be re-flushed by every child at
+    // its own exit.
     std::fflush(nullptr);
     std::vector<pid_t> pids;
     const int rank = forkNodeProcesses(cfg.nprocs, pids);
@@ -327,16 +328,13 @@ Cluster::runAsProcesses(const std::function<void(Runtime &)> &app_main)
             if (!r.error.empty() && appError.empty())
                 appError = "node " + std::to_string(i) + ": " + r.error;
             // Fold the child's end state into the parent's node
-            // objects so memory(), runtime() and the RunResult shape
-            // are transport-neutral.
+            // objects so runtime() and the RunResult shape are
+            // transport-neutral. The arena needs no fold: the child
+            // wrote it through the shared mapping, so memory() already
+            // sees its final state.
             Node &node = *nodes[i];
             node.stats = r.stats;
             node.clock.advanceTo(r.clockNs);
-            DSM_ASSERT(r.arena.size() == node.arena.size(),
-                       "node %d dumped a %zu-byte arena, expected %zu",
-                       i, r.arena.size(), node.arena.size());
-            std::memcpy(node.arena.at(0), r.arena.data(),
-                        r.arena.size());
             result.networkMessages += r.transportMessages;
         }
     }
@@ -360,6 +358,15 @@ void
 Cluster::runChildNode(int rank, const std::string &dir,
                       const std::function<void(Runtime &)> &app_main)
 {
+    // Every arena is a shared mapping, so this process could write any
+    // node's memory in the parent's view. It owns only its own: make
+    // the others inaccessible, so a stray access is a SIGSEGV that
+    // fails the run rather than a silent corruption of another node.
+    for (int i = 0; i < cfg.nprocs; ++i) {
+        if (i != rank)
+            nodes[i]->arena.protect();
+    }
+
     NodeResult res;
     res.rank = rank;
 
@@ -399,8 +406,6 @@ Cluster::runChildNode(int rank, const std::string &dir,
     res.clockNs = node.clock.now();
     res.transportMessages = st.totalMessages();
     res.stats = node.stats;
-    res.arena.assign(node.arena.at(0),
-                     node.arena.at(0) + node.arena.size());
     writeNodeResult(dir, res);
     // _exit, not exit: the child inherited the parent's Cluster and
     // must not run its destructors (they would stop endpoints that

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -122,6 +123,7 @@ awaitNodeProcesses(const std::vector<pid_t> &pids, std::string &failure,
         } while (r < 0 && errno == EINTR);
         DSM_ASSERT(r == pids[rank], "waitpid(node %zu): %s", rank,
                    std::strerror(errno));
+        std::string why;
         if (WIFEXITED(status)) {
             const int code = WEXITSTATUS(status);
             if (code == 0)
@@ -130,18 +132,18 @@ awaitNodeProcesses(const std::vector<pid_t> &pids, std::string &failure,
                 app_error_ranks.push_back(static_cast<int>(rank));
                 continue;
             }
-            if (ok) {
-                failure = "node " + std::to_string(rank) +
-                          " exited with code " + std::to_string(code);
-            }
+            why = "exited with code " + std::to_string(code);
+        } else {
+            why = "killed by signal " + std::to_string(WTERMSIG(status));
+        }
+        // The first dead node fails the run. The nodes not yet reaped
+        // would block on it until their goodbye timeout (or forever,
+        // in a barrier), so kill them.
+        if (ok) {
             ok = false;
-        } else if (WIFSIGNALED(status)) {
-            if (ok) {
-                failure = "node " + std::to_string(rank) +
-                          " killed by signal " +
-                          std::to_string(WTERMSIG(status));
-            }
-            ok = false;
+            failure = "node " + std::to_string(rank) + " " + why;
+            for (std::size_t peer = rank + 1; peer < pids.size(); ++peer)
+                ::kill(pids[peer], SIGKILL);
         }
     }
     return ok;
@@ -162,9 +164,6 @@ writeNodeResult(const std::string &dir, const NodeResult &result)
     writePod(f, result.clockNs);
     writePod(f, result.transportMessages);
     writePod(f, result.stats);
-    writePod(f, static_cast<std::uint64_t>(result.arena.size()));
-    if (!result.arena.empty())
-        writeAll(f, result.arena.data(), result.arena.size());
     DSM_ASSERT(std::fflush(f) == 0 && std::fclose(f) == 0,
                "result dump flush: %s", std::strerror(errno));
     DSM_ASSERT(std::rename(tmp.c_str(),
@@ -194,10 +193,6 @@ readNodeResult(const std::string &dir, int rank)
     out.clockNs = readPod<std::uint64_t>(f);
     out.transportMessages = readPod<std::uint64_t>(f);
     out.stats = readPod<NodeStats>(f);
-    const std::uint64_t arenaBytes = readPod<std::uint64_t>(f);
-    out.arena.resize(arenaBytes);
-    if (arenaBytes > 0)
-        readAll(f, out.arena.data(), arenaBytes);
     std::fclose(f);
     return out;
 }

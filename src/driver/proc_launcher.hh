@@ -9,11 +9,14 @@
  * Each child rank rebinds its node's endpoint to a SocketTransport,
  * rendezvouses with its peers through the shared socket directory,
  * runs its worker threads, and dumps its final state — virtual clock,
- * counters, message count, the full arena image — as
- * `<dir>/node-<rank>.result`. The parent reaps the children, loads
- * the dumps back into its own node objects, and assembles the same
- * RunResult an in-process run produces, so every caller of
- * Cluster::run and Cluster::memory works unchanged across tiers.
+ * counters, message count — as `<dir>/node-<rank>.result`. The parent
+ * reaps the children, loads the dumps back into its own node objects,
+ * and assembles the same RunResult an in-process run produces. Node
+ * memory travels no dump: every arena is a shared mapping
+ * (mem/shared_arena.hh), so a child's writes land in the parent's view
+ * of its arena directly, and each child maps the other nodes' arenas
+ * PROT_NONE. Every caller of Cluster::run and Cluster::memory thus
+ * works unchanged across tiers.
  *
  * An application exception in a child travels back as an error string
  * in the dump plus exit code kAppErrorExit; the parent rethrows it as
@@ -44,7 +47,6 @@ struct NodeResult
     std::uint64_t clockNs = 0;
     std::uint64_t transportMessages = 0;
     NodeStats stats;
-    std::vector<std::byte> arena;
     std::string error; ///< nonempty = the app threw in this child
 };
 
@@ -65,10 +67,12 @@ void removeRendezvousDir(const std::string &dir);
 int forkNodeProcesses(int nnodes, std::vector<pid_t> &pids);
 
 /**
- * Reap every child. Returns true when all exited 0 or kAppErrorExit;
- * false otherwise, with @p failure describing the first
- * infrastructure failure (signal, unexpected exit code). Ranks that
- * exited kAppErrorExit are appended to @p app_error_ranks.
+ * Reap every child, in rank order. Returns true when all exited 0 or
+ * kAppErrorExit; false otherwise, with @p failure describing the first
+ * infrastructure failure (signal, unexpected exit code) — the children
+ * not yet reaped at that point are SIGKILLed rather than left blocked
+ * on the dead node. Ranks that exited kAppErrorExit are appended to
+ * @p app_error_ranks.
  */
 bool awaitNodeProcesses(const std::vector<pid_t> &pids,
                         std::string &failure,

@@ -54,6 +54,7 @@ FaultInjector::droppable(MsgType type)
     case MsgType::HomeDiffFlush:
     case MsgType::HomePageRequest:
     case MsgType::HomePageReply:
+    case MsgType::HomePageSnapshotReply:
     case MsgType::HomeMigrate:
     case MsgType::Shutdown:
     case MsgType::Invalid:

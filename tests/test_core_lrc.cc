@@ -162,8 +162,7 @@ TEST_P(LrcConfigTest, MigratoryCounterRing)
             // Each node increments every word once per turn; the lock
             // serializes, the protocol must deliver the predecessor's
             // writes.
-            if (round % rt.nprocs() == static_cast<unsigned>(rt.self())
-                % rt.nprocs()) {
+            if (round % rt.nprocs() == rt.self() % rt.nprocs()) {
                 for (int i = 0; i < 64; ++i)
                     a.set(i, a.get(i) + 1);
             }
@@ -262,8 +261,9 @@ TEST(LrcRuntimeMisc, StatsReflectMechanisms)
                     arr.set(i, i);
             }
             rt.barrier(1);
-            if (rt.self() == 1)
+            if (rt.self() == 1) {
                 ASSERT_EQ(arr.get(10), 10);
+            }
             rt.barrier(2);
         });
     };

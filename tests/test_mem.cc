@@ -5,6 +5,9 @@
  */
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "mem/diff.hh"
 #include "mem/dirty_bits.hh"
@@ -48,6 +51,47 @@ TEST(SharedArena, ZeroInitialized)
     SharedArena arena(4096, 4096);
     for (std::size_t i = 0; i < 4096; ++i)
         ASSERT_EQ(arena.at(0)[i], std::byte{0});
+}
+
+TEST(SharedArena, PagesMaterializeOnFirstTouch)
+{
+    // Guards against a return to an eagerly zeroed arena: construction
+    // must touch no page. The arena stays under one huge page, so the
+    // count is exact even where shared memory uses transparent huge
+    // pages.
+    const std::size_t osPage = static_cast<std::size_t>(::getpagesize());
+    const std::size_t pages = 16;
+    SharedArena arena(pages * osPage, osPage);
+    const auto resident = [&] {
+        std::vector<unsigned char> vec(pages);
+        EXPECT_EQ(::mincore(arena.at(0), arena.size(), vec.data()), 0);
+        std::size_t n = 0;
+        for (unsigned char v : vec)
+            n += v & 1;
+        return n;
+    };
+    EXPECT_EQ(resident(), 0u);
+    arena.at(3 * osPage)[5] = std::byte{1};
+    EXPECT_EQ(resident(), 1u);
+}
+
+TEST(SharedArena, ForkedChildWriteVisibleToParent)
+{
+    // The socket tier's node processes hand their final memory back
+    // through the mapping itself.
+    SharedArena arena(1 << 16, 4096);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        for (std::size_t i = 0; i < 256; ++i)
+            arena.at(4096)[i] = static_cast<std::byte>(i ^ 0x5a);
+        ::_exit(0);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    for (std::size_t i = 0; i < 256; ++i)
+        ASSERT_EQ(arena.at(4096)[i], static_cast<std::byte>(i ^ 0x5a));
 }
 
 TEST(PageTable, FaultPredicates)

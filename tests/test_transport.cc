@@ -81,8 +81,9 @@ TEST(FrameCodec, DataFrameSurvivesEveryChunking)
         FrameDecoder dec;
         Frame frame;
         dec.feed(std::span<const std::byte>(wire.data(), cut));
-        if (cut < wire.size())
+        if (cut < wire.size()) {
             EXPECT_FALSE(dec.next(frame)) << "cut at " << cut;
+        }
         dec.feed(std::span<const std::byte>(wire.data() + cut,
                                             wire.size() - cut));
         ASSERT_TRUE(dec.next(frame)) << "cut at " << cut;
@@ -409,6 +410,36 @@ TEST(SocketCluster, ForkedRunMatchesRingBitForBit)
     const std::vector<std::byte> socket = runCounterApp("socket");
     ASSERT_EQ(ring.size(), socket.size());
     EXPECT_EQ(std::memcmp(ring.data(), socket.data(), ring.size()), 0);
+}
+
+// A sanitizer runtime catches the SIGSEGV itself: it reports the fault
+// and exits with its own code instead of dying on the signal.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr const char *kStrayWriteDeath = "node 0 exited with code";
+#else
+constexpr const char *kStrayWriteDeath = "node 0 killed by signal 11";
+#endif
+
+TEST(SocketClusterDeathTest, ForeignArenaWriteKillsTheNodeProcess)
+{
+    // Arenas are shared with the parent, so each node process maps the
+    // other nodes' arenas PROT_NONE: a stray write must kill the
+    // writer and fail the run, never land in the parent's view of
+    // node 1 and return it through memory().
+    ClusterConfig cc;
+    cc.nprocs = 2;
+    cc.runtime = RuntimeConfig::parse("LRC-diff");
+    cc.transport = "socket";
+    Cluster cluster(cc);
+    std::byte *foreign = cluster.runtime(1).sharedArena().at(0);
+    EXPECT_DEATH(
+        {
+            cluster.run([foreign](Runtime &rt) {
+                if (rt.self() == 0)
+                    *foreign = std::byte{1};
+            });
+        },
+        kStrayWriteDeath);
 }
 
 TEST(SocketCluster, AppExceptionPropagatesFromChildren)
