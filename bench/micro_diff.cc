@@ -6,6 +6,11 @@
  * (ScanKernel::Simd, this PR) on 4 KiB pages across write densities,
  * plus the effect of run coalescing (gapWords) on wire bytes.
  *
+ * An informational, ungated round-trip scenario times one diff through
+ * the homeless fetch path — create, encode into a reply, zero-copy
+ * decode against the shared reply buffer, apply — at the sparse_64w
+ * and dense_1024w shapes.
+ *
  * Emits BENCH_diff.json (tracked in the repo) so the diff-creation
  * throughput trajectory is visible across PRs. Acceptance bars:
  * PR 1 asked >= 3x wide-vs-seed on a sparse page; this PR asks
@@ -15,10 +20,13 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_common.hh"
 #include "mem/diff.hh"
 #include "util/rng.hh"
 
@@ -120,6 +128,46 @@ throughput(const std::byte *cur, const std::byte *twin, DiffScan scan,
     return iters / secs;
 }
 
+/** Pages/second for create -> encode -> zero-copy decode -> apply. */
+double
+roundTripThroughput(const std::byte *cur, const std::byte *twin, int iters)
+{
+    std::vector<std::byte> dst(twin, twin + kPageBytes);
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < iters; ++i) {
+        const Diff d = Diff::create(cur, twin, kPageBytes);
+        WireWriter w(d.wireBytes());
+        d.encode(w);
+        const std::shared_ptr<const std::vector<std::byte>> reply =
+            std::make_shared<std::vector<std::byte>>(w.take());
+        WireReader r(*reply);
+        Diff::decode(r, reply).apply(dst.data());
+    }
+    const auto end = std::chrono::steady_clock::now();
+    if (std::memcmp(dst.data(), cur, kPageBytes) != 0) {
+        std::fprintf(stderr, "round trip did not reproduce the page\n");
+        std::exit(1);
+    }
+    return iters / std::chrono::duration<double>(end - start).count();
+}
+
+/** Scatter @p changed_words writes across a copy of @p twin (the
+ *  paper's sparse update pattern: SOR boundary rows, Water molecule
+ *  fields). */
+std::vector<std::byte>
+modifiedPage(const std::vector<std::byte> &twin, int changed_words)
+{
+    std::vector<std::byte> cur = twin;
+    Rng mod(7 + changed_words);
+    for (int i = 0; i < changed_words; ++i) {
+        const std::uint32_t w =
+            static_cast<std::uint32_t>(mod.below(kPageBytes / 4));
+        cur[w * 4] =
+            std::byte{static_cast<unsigned char>(mod.below(255) + 1)};
+    }
+    return cur;
+}
+
 } // namespace
 
 int
@@ -135,7 +183,7 @@ main()
     };
     const int iters = 200000;
 
-    std::string json = "{\n  \"page_bytes\": 4096,\n";
+    std::string json = "{\n" + hostJson() + "  \"page_bytes\": 4096,\n";
     json += std::string("  \"cpu_simd\": ") +
             (cpuHasSimdScan() ? "true" : "false") + ",\n";
     json += std::string("  \"best_kernel\": \"") +
@@ -149,16 +197,8 @@ main()
 
     bool first = true;
     for (const Scenario &sc : scenarios) {
-        // Scatter the writes across the page (the paper's sparse
-        // update pattern: SOR boundary rows, Water molecule fields).
-        std::vector<std::byte> cur = twin;
-        Rng mod(7 + sc.changedWords);
-        for (int i = 0; i < sc.changedWords; ++i) {
-            const std::uint32_t w =
-                static_cast<std::uint32_t>(mod.below(kPageBytes / 4));
-            cur[w * 4] = std::byte{static_cast<unsigned char>(
-                mod.below(255) + 1)};
-        }
+        const std::vector<std::byte> cur =
+            modifiedPage(twin, sc.changedWords);
 
         const double seed = seedThroughput(cur.data(), twin.data(), iters);
         const double narrow = throughput(cur.data(), twin.data(),
@@ -198,6 +238,29 @@ main()
                       simd / seed, simd / wide,
                       static_cast<unsigned long long>(wire),
                       static_cast<unsigned long long>(wireGap8));
+        json += row;
+        first = false;
+    }
+    json += "\n  ],\n";
+
+    // Informational: not read by tools/bench_gate.py.
+    std::printf("\n%-16s %11s  (create -> encode -> zero-copy decode "
+                "-> apply)\n",
+                "round trip", "pg/s");
+    json += "  \"roundtrip\": [\n";
+    first = true;
+    for (const Scenario &sc :
+         {Scenario{"sparse_64w", 64}, Scenario{"dense_1024w", 1024}}) {
+        const std::vector<std::byte> cur =
+            modifiedPage(twin, sc.changedWords);
+        const double rt = roundTripThroughput(cur.data(), twin.data(),
+                                              iters);
+        std::printf("%-16s %11.0f\n", sc.name, rt);
+        char row[160];
+        std::snprintf(row, sizeof(row),
+                      "%s    {\"name\": \"%s\", \"changed_words\": %d, "
+                      "\"pages_per_sec\": %.0f}",
+                      first ? "" : ",\n", sc.name, sc.changedWords, rt);
         json += row;
         first = false;
     }

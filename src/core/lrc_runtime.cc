@@ -1096,7 +1096,12 @@ LrcRuntime::fetchDiffs(PageId page)
         }
         stats().diffRequestsSent++;
         Message reply = ep->call(q, MsgType::DiffBatchRequest, w.take());
-        WireReader r(reply.payload);
+        // The diffs view their images in place in the reply; the
+        // stored ones keep it alive until GC prunes them.
+        const std::shared_ptr<const std::vector<std::byte>> payload =
+            std::make_shared<std::vector<std::byte>>(
+                std::move(reply.payload));
+        WireReader r(*payload);
         const std::uint32_t npages = r.getU32();
         for (std::uint32_t i = 0; i < npages; ++i) {
             const PageId p = r.getU32();
@@ -1107,12 +1112,11 @@ LrcRuntime::fetchDiffs(PageId page)
                 f.proc = static_cast<NodeId>(r.getU16());
                 f.idx = r.getU32();
                 f.vtSum = r.getU64();
-                f.diff = Diff::decode(r);
+                f.diff = Diff::decode(r, payload);
                 fetched.push_back(std::move(f));
             }
         }
         decodePiggybackedRecords(r, precs);
-        BufferPool::instance().release(std::move(reply.payload));
     }
 
     // Apply in a linear extension of happens-before (sum order), with
@@ -1212,7 +1216,10 @@ LrcRuntime::fetchDiffsLegacy(PageId page)
         log_cov.encode(w);
         stats().diffRequestsSent++;
         Message reply = ep->call(q, MsgType::DiffRequest, w.take());
-        WireReader r(reply.payload);
+        const std::shared_ptr<const std::vector<std::byte>> payload =
+            std::make_shared<std::vector<std::byte>>(
+                std::move(reply.payload));
+        WireReader r(*payload);
         const std::uint32_t n = r.getU32();
         for (std::uint32_t i = 0; i < n; ++i) {
             FetchedDiff f;
@@ -1220,11 +1227,10 @@ LrcRuntime::fetchDiffsLegacy(PageId page)
             f.proc = static_cast<NodeId>(r.getU16());
             f.idx = r.getU32();
             f.vtSum = r.getU64();
-            f.diff = Diff::decode(r);
+            f.diff = Diff::decode(r, payload);
             fetched.push_back(std::move(f));
         }
         decodePiggybackedRecords(r, precs);
-        BufferPool::instance().release(std::move(reply.payload));
     }
 
     // Apply in a linear extension of happens-before (sum order), with
@@ -1759,25 +1765,32 @@ LrcRuntime::handleMessage(Message &msg)
     }
 }
 
-void
-LrcRuntime::encodeDiffsNewerThan(WireWriter &w, PageId page,
-                                 const VectorTime &req_vt)
+std::uint64_t
+LrcRuntime::collectDiffsNewerThan(PageId page, const VectorTime &req_vt,
+                                  std::vector<OutgoingDiff> &out) const
 {
-    std::vector<std::pair<std::uint64_t, const DiffEntry *>> send;
-    auto lo = diffStore.lower_bound({page, 0});
-    auto hi = diffStore.upper_bound({page, ~std::uint64_t{0}});
-    for (auto it = lo; it != hi; ++it) {
+    std::uint64_t bytes = 4; // count prefix
+    for (auto it = diffStore.lower_bound({page, 0});
+         it != diffStore.end() && it->first.first == page; ++it) {
         const std::uint64_t key = it->first.second;
-        if (tsInterval(key) > req_vt[tsProc(key)])
-            send.emplace_back(key, &it->second);
+        if (tsInterval(key) > req_vt[tsProc(key)]) {
+            out.push_back({key, it->second.vtSum, it->second.diff});
+            bytes += kOutgoingDiffHeaderBytes + it->second.diff.wireBytes();
+        }
     }
-    w.putU32(static_cast<std::uint32_t>(send.size()));
-    for (const auto &[key, entry] : send) {
-        w.putU16(static_cast<std::uint16_t>(tsProc(key)));
-        w.putU32(tsInterval(key));
-        w.putU64(entry->vtSum);
-        entry->diff.encode(w);
-        stats().diffBytesSent += entry->diff.wireBytes();
+    return bytes;
+}
+
+void
+LrcRuntime::encodeDiffs(WireWriter &w, std::span<const OutgoingDiff> diffs)
+{
+    w.putU32(static_cast<std::uint32_t>(diffs.size()));
+    for (const OutgoingDiff &d : diffs) {
+        w.putU16(static_cast<std::uint16_t>(tsProc(d.key)));
+        w.putU32(tsInterval(d.key));
+        w.putU64(d.vtSum);
+        d.diff.encode(w);
+        stats().diffBytesSent += d.diff.wireBytes();
     }
 }
 
@@ -1789,12 +1802,17 @@ LrcRuntime::handleDiffRequest(Message &msg)
     VectorTime req_vt = VectorTime::decode(r);
     VectorTime req_log = VectorTime::decode(r);
 
-    WireWriter w;
+    std::vector<OutgoingDiff> send;
+    std::uint64_t bytes = 0;
     {
         std::lock_guard<std::mutex> dg(nl->diff);
-        encodeDiffsNewerThan(w, page, req_vt);
+        bytes = collectDiffsNewerThan(page, req_vt, send);
     }
-    encodePiggybackedRecords(w, req_log);
+    WireWriter recs;
+    encodePiggybackedRecords(recs, req_log);
+    WireWriter w(bytes + recs.size());
+    encodeDiffs(w, send);
+    w.putBytes(recs.data(), recs.size());
     ep->reply(msg.src, MsgType::DiffReply, w.take(), msg.replyToken);
 }
 
@@ -1805,18 +1823,36 @@ LrcRuntime::handleDiffBatchRequest(Message &msg)
     VectorTime req_log = VectorTime::decode(r);
     const std::uint32_t npages = r.getU32();
 
-    WireWriter w;
-    w.putU32(npages);
+    // Snapshot every page's outgoing diffs under the store lock, one
+    // map walk per page; the shared images are immutable, so they are
+    // encoded after the lock is dropped, into a buffer sized exactly.
+    std::vector<PageId> pages(npages);
+    std::vector<std::size_t> ends(npages);
+    std::vector<OutgoingDiff> send;
+    std::uint64_t bytes = 4; // page count
     {
         std::lock_guard<std::mutex> dg(nl->diff);
         for (std::uint32_t i = 0; i < npages; ++i) {
-            const PageId page = r.getU32();
+            pages[i] = r.getU32();
             VectorTime req_vt = VectorTime::decode(r);
-            w.putU32(page);
-            encodeDiffsNewerThan(w, page, req_vt);
+            bytes += 4 + collectDiffsNewerThan(pages[i], req_vt, send);
+            ends[i] = send.size();
         }
     }
-    encodePiggybackedRecords(w, req_log);
+    WireWriter recs;
+    encodePiggybackedRecords(recs, req_log);
+
+    WireWriter w(bytes + recs.size());
+    w.putU32(npages);
+    const std::span<const OutgoingDiff> all(send);
+    for (std::uint32_t i = 0; i < npages; ++i) {
+        const std::size_t begin = i == 0 ? 0 : ends[i - 1];
+        w.putU32(pages[i]);
+        encodeDiffs(w, all.subspan(begin, ends[i] - begin));
+    }
+    w.putBytes(recs.data(), recs.size());
+    DSM_ASSERT(w.size() == bytes + recs.size(),
+               "diff batch reply size mismatch");
     ep->reply(msg.src, MsgType::DiffBatchReply, w.take(),
               msg.replyToken);
 }

@@ -36,6 +36,7 @@
 #include <condition_variable>
 #include <map>
 #include <set>
+#include <span>
 #include <unordered_map>
 
 #include "core/interval_log.hh"
@@ -322,10 +323,28 @@ class LrcRuntime : public Runtime
     /** Hand @p page's home role to @p new_home. Mutex held. */
     void migrateHome(PageId page, NodeId new_home);
 
-    /** Encode every stored diff of @p page newer than @p req_vt (one
-     *  count prefix plus (proc, idx, vtSum, diff) tuples). */
-    void encodeDiffsNewerThan(WireWriter &w, PageId page,
-                              const VectorTime &req_vt);
+    /** A stored diff picked for a reply; shares the stored image. */
+    struct OutgoingDiff
+    {
+        std::uint64_t key = 0; ///< packTs(proc, idx)
+        std::uint64_t vtSum = 0;
+        Diff diff;
+    };
+
+    /** Per-diff tuple header on the wire: proc, idx, vtSum. */
+    static constexpr std::uint64_t kOutgoingDiffHeaderBytes = 2 + 4 + 8;
+
+    /** Append every stored diff of @p page newer than @p req_vt to
+     *  @p out and return the bytes encodeDiffs() will write for them.
+     *  Caller holds the diff-store lock. */
+    std::uint64_t collectDiffsNewerThan(PageId page,
+                                        const VectorTime &req_vt,
+                                        std::vector<OutgoingDiff> &out)
+        const;
+
+    /** Encode @p diffs as one count prefix plus (proc, idx, vtSum,
+     *  diff) tuples. */
+    void encodeDiffs(WireWriter &w, std::span<const OutgoingDiff> diffs);
 
     /** Encode the timestamp runs of @p page newer than the requester's
      *  page copy @p req_vt, capped at its global vector @p req_global

@@ -16,11 +16,13 @@ applyDiffGuarded(std::byte *dst, std::vector<std::uint64_t> &word_sums,
                  std::atomic<std::uint32_t> *line_versions)
 {
     std::uint64_t words_written = 0;
-    for (const DiffRun &run : diff.diffRuns()) {
-        const std::span<const std::byte> data = diff.runData(run);
+    for (const Diff::Run &run : diff.runs()) {
+        const std::span<const std::byte> data = run.data;
+        const std::uint32_t size =
+            static_cast<std::uint32_t>(data.size());
         const std::uint32_t first_word = run.offset / Diff::kWordBytes;
         const std::uint32_t nwords =
-            (run.size + Diff::kWordBytes - 1) / Diff::kWordBytes;
+            (size + Diff::kWordBytes - 1) / Diff::kWordBytes;
         DSM_ASSERT(run.offset % Diff::kWordBytes == 0 &&
                        first_word + nwords <= word_sums.size(),
                    "flush run outside the page");
@@ -32,7 +34,7 @@ applyDiffGuarded(std::byte *dst, std::vector<std::uint64_t> &word_sums,
         // that only costs a spurious retry, never a torn validation.
         const std::uint32_t first_line = run.offset / kOptLineBytes;
         const std::uint32_t last_line =
-            (run.offset + run.size - 1) / kOptLineBytes;
+            (run.offset + size - 1) / kOptLineBytes;
         if (line_versions) {
             for (std::uint32_t l = first_line; l <= last_line; ++l)
                 line_versions[l].fetch_add(1, std::memory_order_acq_rel);
@@ -43,7 +45,7 @@ applyDiffGuarded(std::byte *dst, std::vector<std::uint64_t> &word_sums,
                 continue;
             const std::uint32_t byte = k * Diff::kWordBytes;
             const std::uint32_t len = std::min<std::uint32_t>(
-                Diff::kWordBytes, run.size - byte);
+                Diff::kWordBytes, size - byte);
             if (shadow &&
                 std::memcmp(dst + run.offset + byte,
                             shadow + run.offset + byte, len) != 0) {

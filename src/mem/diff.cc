@@ -1,25 +1,66 @@
 #include "mem/diff.hh"
 
 #include <cstring>
+#include <utility>
 
 #include "mem/wide_scan.hh"
 #include "util/logging.hh"
 
 namespace dsm {
 
+namespace {
+
+void
+storeU32(std::byte *p, std::uint32_t v)
+{
+    std::memcpy(p, &v, sizeof v);
+}
+
+/** One uninitialized allocation of @p n image bytes; @p out is set to
+ *  its writable start. */
+std::shared_ptr<const std::byte>
+allocImage(std::size_t n, std::byte *&out)
+{
+    auto buf = std::make_shared_for_overwrite<std::byte[]>(n);
+    out = buf.get();
+    return {std::move(buf), out};
+}
+
+/**
+ * Walk one encoded diff at @p r's position, checking every run against
+ * the area length and the remaining payload, and return the image it
+ * occupies (viewed in place in @p r's buffer).
+ */
+std::span<const std::byte>
+scanImage(WireReader &r)
+{
+    const std::span<const std::byte> rest = r.unread();
+    const std::uint32_t area_len = r.getU32();
+    const std::uint32_t nruns = r.getU32();
+    for (std::uint32_t i = 0; i < nruns; ++i) {
+        const std::uint32_t offset = r.getU32();
+        const std::uint32_t size = r.getU32();
+        DSM_ASSERT(std::uint64_t{offset} + size <= area_len,
+                   "diff run out of bounds");
+        r.skip(size);
+    }
+    return rest.first(rest.size() - r.remaining());
+}
+
+} // namespace
+
 Diff
 Diff::create(const std::byte *cur, const std::byte *twin, std::uint32_t len,
              NodeStats *stats, DiffScan scan)
 {
-    Diff d;
-    d.areaLen = len;
-
     const std::uint32_t words = len / kWordBytes;
 
-    // One up-front allocation covers the common sparse-page shape;
-    // denser diffs grow geometrically from there.
-    d.runs.reserve(16);
-    d.payload.reserve(std::min<std::size_t>(len, 256));
+    // Byte ranges [first, last) of the runs, collected in one scan so
+    // the image can be sized exactly; the scratch vector is per thread
+    // and keeps its capacity across diffs.
+    thread_local std::vector<std::pair<std::uint32_t, std::uint32_t>> spans;
+    spans.clear();
+    std::uint64_t data_bytes = 0;
 
     // Open word run [openStart, openEnd) of content to transmit. With
     // gapWords > 0 a run may bridge short unchanged stretches.
@@ -29,13 +70,8 @@ Diff::create(const std::byte *cur, const std::byte *twin, std::uint32_t len,
 
     auto emit = [&](std::uint32_t lastByte) {
         const std::uint32_t firstByte = openStart * kWordBytes;
-        DiffRun run;
-        run.offset = firstByte;
-        run.size = lastByte - firstByte;
-        run.dataPos = static_cast<std::uint32_t>(d.payload.size());
-        d.payload.insert(d.payload.end(), cur + firstByte,
-                         cur + lastByte);
-        d.runs.push_back(run);
+        spans.emplace_back(firstByte, lastByte);
+        data_bytes += lastByte - firstByte;
     };
 
     scanChangedRuns(cur, twin, words, scan.kernel,
@@ -68,6 +104,20 @@ Diff::create(const std::byte *cur, const std::byte *twin, std::uint32_t len,
         }
     }
 
+    Diff d;
+    d.imageLen = kHeaderBytes + spans.size() * kRunHeaderBytes + data_bytes;
+    std::byte *p = nullptr;
+    d.image = allocImage(d.imageLen, p);
+    storeU32(p, len);
+    storeU32(p + 4, static_cast<std::uint32_t>(spans.size()));
+    p += kHeaderBytes;
+    for (const auto &[first, last] : spans) {
+        storeU32(p, first);
+        storeU32(p + 4, last - first);
+        std::memcpy(p + kRunHeaderBytes, cur + first, last - first);
+        p += kRunHeaderBytes + (last - first);
+    }
+
     if (stats) {
         stats->diffWordsCompared += comparedWords(len);
         stats->diffsCreated++;
@@ -78,49 +128,49 @@ Diff::create(const std::byte *cur, const std::byte *twin, std::uint32_t len,
 void
 Diff::apply(std::byte *dst, NodeStats *stats) const
 {
-    for (const auto &run : runs) {
-        std::memcpy(dst + run.offset, payload.data() + run.dataPos,
-                    run.size);
-    }
+    for (const Run &run : runs())
+        std::memcpy(dst + run.offset, run.data.data(), run.data.size());
     if (stats)
         stats->diffsApplied++;
-}
-
-std::uint64_t
-Diff::wireBytes() const
-{
-    return kHeaderBytes + runs.size() * kRunHeaderBytes + dataBytes();
 }
 
 void
 Diff::encode(WireWriter &w) const
 {
-    w.putU32(areaLen);
-    w.putU32(static_cast<std::uint32_t>(runs.size()));
-    for (const auto &run : runs) {
-        w.putU32(run.offset);
-        w.putU32(run.size);
-        w.putBytes(payload.data() + run.dataPos, run.size);
-    }
+    w.putBytes(bytes(), wireBytes());
 }
 
 Diff
 Diff::decode(WireReader &r)
 {
+    const std::span<const std::byte> src = scanImage(r);
     Diff d;
-    d.areaLen = r.getU32();
-    std::uint32_t nruns = r.getU32();
-    d.runs.resize(nruns);
-    for (auto &run : d.runs) {
-        run.offset = r.getU32();
-        run.size = r.getU32();
-        run.dataPos = static_cast<std::uint32_t>(d.payload.size());
-        d.payload.resize(d.payload.size() + run.size);
-        r.getBytes(d.payload.data() + run.dataPos, run.size);
-        DSM_ASSERT(std::uint64_t{run.offset} + run.size <= d.areaLen,
-                   "diff run out of bounds");
-    }
+    d.imageLen = src.size();
+    std::byte *p = nullptr;
+    d.image = allocImage(src.size(), p);
+    std::memcpy(p, src.data(), src.size());
     return d;
+}
+
+Diff
+Diff::decode(WireReader &r,
+             const std::shared_ptr<const std::vector<std::byte>> &owner)
+{
+    const std::span<const std::byte> src = scanImage(r);
+    DSM_ASSERT(src.data() >= owner->data() &&
+                   src.data() + src.size() <= owner->data() + owner->size(),
+               "zero-copy diff decoded outside its owner");
+    Diff d;
+    d.imageLen = src.size();
+    d.image = std::shared_ptr<const std::byte>(owner, src.data());
+    return d;
+}
+
+bool
+Diff::operator==(const Diff &other) const
+{
+    return wireBytes() == other.wireBytes() &&
+           std::memcmp(bytes(), other.bytes(), wireBytes()) == 0;
 }
 
 } // namespace dsm

@@ -4,12 +4,33 @@
  * (EC) or page (LRC) — Section 5.2 of the paper. A diff is created by
  * comparing the current copy against the twin at word granularity and
  * applied by splatting its runs onto a destination copy.
+ *
+ * A Diff is one immutable, reference-counted byte image in its wire
+ * layout (all fields little-endian u32):
+ *
+ *     areaLen | nruns | { offset | size | size bytes } x nruns
+ *
+ * so encode() is a single copy of the image, wireBytes() is its size,
+ * and apply() walks it in place. Copying a Diff shares the image.
+ *
+ * Ownership: Diff::create and the plain Diff::decode(r) allocate the
+ * image (one allocation of exact size). The zero-copy
+ * Diff::decode(r, owner) instead returns a slice of a received payload
+ * and holds @p owner, so the payload lives as long as any diff decoded
+ * from it — the homeless fetch path stores such diffs, and the reply
+ * buffer is freed when GC prunes the last of them. Both decodes check
+ * every run against the area length ("diff run out of bounds") and
+ * against the remaining payload ("wire underrun") before returning, so
+ * a decoded image is always safe to walk.
  */
 
 #ifndef DSM_MEM_DIFF_HH
 #define DSM_MEM_DIFF_HH
 
 #include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -19,22 +40,6 @@
 #include "util/types.hh"
 
 namespace dsm {
-
-/**
- * One run of changed bytes: @p size bytes at @p offset within the
- * diffed area. The bytes themselves live at @p dataPos in the diff's
- * shared payload buffer (see Diff::runData) — keeping run descriptors
- * POD means creating a diff with many runs costs one payload
- * allocation, not one per run.
- */
-struct DiffRun
-{
-    std::uint32_t offset = 0;
-    std::uint32_t size = 0;
-    std::uint32_t dataPos = 0;
-
-    bool operator==(const DiffRun &other) const = default;
-};
 
 /** How Diff::create scans the copy against the twin. */
 struct DiffScan
@@ -64,6 +69,7 @@ struct DiffScan
 class Diff
 {
   public:
+    /** The empty diff of a zero-length area. */
     Diff() = default;
 
     // One shared wire layout: encode(), decode() and wireBytes() all
@@ -81,6 +87,72 @@ class Diff
     {
         return (std::uint64_t{len} + kWordBytes - 1) / kWordBytes;
     }
+
+    /** One run of changed bytes: data.size() bytes at @p offset
+     *  within the diffed area, viewed in place in the image. */
+    struct Run
+    {
+        std::uint32_t offset = 0;
+        std::span<const std::byte> data;
+    };
+
+    /** Forward iterator over the runs of an image. */
+    class RunIterator
+    {
+      public:
+        using iterator_category = std::forward_iterator_tag;
+        using value_type = Run;
+        using difference_type = std::ptrdiff_t;
+        using pointer = void;
+        using reference = Run;
+
+        RunIterator() = default;
+        RunIterator(const std::byte *p, std::uint32_t left)
+            : p(p), left(left)
+        {}
+
+        Run
+        operator*() const
+        {
+            return {loadU32(p), {p + kRunHeaderBytes, loadU32(p + 4)}};
+        }
+
+        RunIterator &
+        operator++()
+        {
+            p += kRunHeaderBytes + loadU32(p + 4);
+            --left;
+            return *this;
+        }
+
+        RunIterator
+        operator++(int)
+        {
+            RunIterator old = *this;
+            ++*this;
+            return old;
+        }
+
+        /** Iterators of one diff compare by runs left to walk. */
+        bool
+        operator==(const RunIterator &other) const
+        {
+            return left == other.left;
+        }
+
+      private:
+        const std::byte *p = nullptr;
+        std::uint32_t left = 0;
+    };
+
+    /** The runs of a diff, in offset order. */
+    struct Runs
+    {
+        RunIterator first;
+
+        RunIterator begin() const { return first; }
+        RunIterator end() const { return {}; }
+    };
 
     /**
      * Build a diff of @p len bytes by comparing @p cur against
@@ -100,35 +172,64 @@ class Diff
     /** Copy every run onto @p dst (an area of at least length()). */
     void apply(std::byte *dst, NodeStats *stats = nullptr) const;
 
-    bool empty() const { return runs.empty(); }
+    bool empty() const { return runCount() == 0; }
 
     /** Length of the area this diff describes. */
-    std::uint32_t length() const { return areaLen; }
+    std::uint32_t length() const { return loadU32(bytes()); }
 
-    const std::vector<DiffRun> &diffRuns() const { return runs; }
+    std::uint32_t runCount() const { return loadU32(bytes() + 4); }
 
-    /** Payload bytes of @p run. */
-    std::span<const std::byte>
-    runData(const DiffRun &run) const
+    Runs
+    runs() const
     {
-        return {payload.data() + run.dataPos, run.size};
+        return {{bytes() + kHeaderBytes, runCount()}};
     }
 
     /** Total payload bytes carried by the runs. */
-    std::uint64_t dataBytes() const { return payload.size(); }
+    std::uint64_t
+    dataBytes() const
+    {
+        return wireBytes() - kHeaderBytes - runCount() * kRunHeaderBytes;
+    }
 
-    /** Modeled wire footprint (runs + offsets + header). */
-    std::uint64_t wireBytes() const;
+    /** Modeled wire footprint (runs + offsets + header): the image. */
+    std::uint64_t wireBytes() const { return imageLen; }
 
     void encode(WireWriter &w) const;
+
+    /** Decode a diff into a private copy of its image. */
     static Diff decode(WireReader &r);
 
-    bool operator==(const Diff &other) const = default;
+    /**
+     * Zero-copy decode: the diff views its image in place inside
+     * @p owner, which @p r must be reading, and keeps @p owner alive.
+     */
+    static Diff
+    decode(WireReader &r,
+           const std::shared_ptr<const std::vector<std::byte>> &owner);
+
+    /** Equal images (same area length, runs and bytes). */
+    bool operator==(const Diff &other) const;
 
   private:
-    std::uint32_t areaLen = 0;
-    std::vector<DiffRun> runs;
-    std::vector<std::byte> payload; ///< concatenated run bytes
+    static constexpr std::byte kEmptyImage[kHeaderBytes] = {};
+
+    static std::uint32_t
+    loadU32(const std::byte *p)
+    {
+        std::uint32_t v;
+        std::memcpy(&v, p, sizeof v);
+        return v;
+    }
+
+    const std::byte *
+    bytes() const
+    {
+        return image ? image.get() : kEmptyImage;
+    }
+
+    std::shared_ptr<const std::byte> image; ///< null: kEmptyImage
+    std::uint64_t imageLen = kHeaderBytes;
 };
 
 } // namespace dsm

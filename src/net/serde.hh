@@ -29,7 +29,11 @@ namespace dsm {
 class WireWriter
 {
   public:
-    WireWriter() : buf(BufferPool::instance().acquire()) {}
+    /** @p reserve_hint pre-reserves capacity: a caller that knows the
+     *  payload's size up front encodes it without regrowing. */
+    explicit WireWriter(std::size_t reserve_hint = 0)
+        : buf(BufferPool::instance().acquire(reserve_hint))
+    {}
 
     ~WireWriter()
     {
@@ -141,6 +145,17 @@ class WireReader
         std::memcpy(out, data.data() + pos, n);
         pos += n;
     }
+
+    /** Consume @p n bytes without copying them. */
+    void
+    skip(std::size_t n)
+    {
+        DSM_ASSERT(pos + n <= data.size(), "wire underrun");
+        pos += n;
+    }
+
+    /** The bytes not yet consumed, viewed in place. */
+    std::span<const std::byte> unread() const { return data.subspan(pos); }
 
     std::vector<std::byte>
     getBlob()

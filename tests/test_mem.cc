@@ -9,6 +9,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <memory>
+
 #include "mem/diff.hh"
 #include "mem/dirty_bits.hh"
 #include "mem/page_table.hh"
@@ -132,6 +134,13 @@ TEST(TwinStore, RangeTwins)
     EXPECT_FALSE(twins.hasRange(5));
 }
 
+/** The runs of @p d, viewed in place in its image. */
+std::vector<Diff::Run>
+runsOf(const Diff &d)
+{
+    return {d.runs().begin(), d.runs().end()};
+}
+
 TEST(Diff, EmptyWhenIdentical)
 {
     std::vector<std::byte> a(128, std::byte{3});
@@ -149,10 +158,11 @@ TEST(Diff, CapturesChangedRuns)
     cur[40] = std::byte{3};
     NodeStats stats;
     Diff d = Diff::create(cur.data(), twin.data(), 64, &stats);
-    ASSERT_EQ(d.diffRuns().size(), 2u);
-    EXPECT_EQ(d.diffRuns()[0].offset, 4u);
-    EXPECT_EQ(d.diffRuns()[0].size, 4u); // word granularity
-    EXPECT_EQ(d.diffRuns()[1].offset, 40u);
+    const std::vector<Diff::Run> runs = runsOf(d);
+    ASSERT_EQ(runs.size(), 2u);
+    EXPECT_EQ(runs[0].offset, 4u);
+    EXPECT_EQ(runs[0].data.size(), 4u); // word granularity
+    EXPECT_EQ(runs[1].offset, 40u);
     EXPECT_EQ(stats.diffsCreated, 1u);
 
     std::vector<std::byte> dst = twin;
@@ -186,6 +196,141 @@ TEST(Diff, WireRoundTrip)
     WireReader r(bytes);
     Diff back = Diff::decode(r);
     EXPECT_EQ(back, d);
+}
+
+TEST(Diff, ZeroCopyDecodeOutlivesReply)
+{
+    std::vector<std::byte> twin(512, std::byte{0});
+    std::vector<std::byte> cur = twin;
+    for (int i : {3, 64, 65, 200, 201, 202, 203, 204, 511})
+        cur[i] = std::byte{static_cast<unsigned char>(i + 1)};
+    const Diff original = Diff::create(cur.data(), twin.data(), 512);
+
+    // A reply carrying a prefix, the diff and a suffix, as the fetch
+    // path sees it.
+    WireWriter w;
+    w.putU32(0xabcd);
+    original.encode(w);
+    w.putU32(0x1234);
+    auto reply =
+        std::make_shared<const std::vector<std::byte>>(w.take());
+    const std::byte *const reply_bytes = reply->data();
+    const std::size_t reply_size = reply->size();
+
+    WireReader r(*reply);
+    EXPECT_EQ(r.getU32(), 0xabcdu);
+    Diff d = Diff::decode(r, reply);
+    EXPECT_EQ(r.getU32(), 0x1234u);
+    EXPECT_TRUE(r.done());
+    // The runs are views into the reply, not a copy of it.
+    const Diff::Run first = *d.runs().begin();
+    EXPECT_GT(first.data.data(), reply_bytes);
+    EXPECT_LT(first.data.data(), reply_bytes + reply_size);
+
+    // Drop every other handle to the reply buffer; the diff alone
+    // keeps it alive.
+    std::weak_ptr<const std::vector<std::byte>> watch = reply;
+    reply.reset();
+    EXPECT_FALSE(watch.expired());
+
+    std::vector<std::byte> dst = twin;
+    d.apply(dst.data());
+    EXPECT_EQ(dst, cur);
+    WireWriter again;
+    d.encode(again);
+    auto bytes = again.take();
+    WireReader r2(bytes);
+    EXPECT_EQ(Diff::decode(r2), original);
+    EXPECT_EQ(d, original);
+
+    d = Diff();
+    EXPECT_TRUE(watch.expired());
+}
+
+TEST(Diff, EncodedSizeIsWireBytes)
+{
+    Rng rng(0x5eed);
+    for (int trial = 0; trial < 40; ++trial) {
+        // Page-sized and unaligned-tail areas.
+        const std::uint32_t len =
+            trial % 2 ? 4096 : 1 + static_cast<std::uint32_t>(
+                                       rng.below(4096));
+        std::vector<std::byte> twin(len);
+        for (auto &b : twin)
+            b = std::byte{static_cast<unsigned char>(rng.below(256))};
+        std::vector<std::byte> cur = twin;
+        const int nmods = static_cast<int>(rng.below(200));
+        for (int i = 0; i < nmods; ++i)
+            cur[rng.below(len)] ^= std::byte{0x81};
+        cur[len - 1] ^= std::byte{0x42};
+        for (std::uint32_t gap : {0u, 8u}) {
+            const Diff d = Diff::create(cur.data(), twin.data(), len,
+                                        nullptr, {bestScanKernel(), gap});
+            WireWriter w;
+            d.encode(w);
+            EXPECT_EQ(w.size(), d.wireBytes());
+            std::uint64_t run_bytes = 0;
+            for (const Diff::Run &run : d.runs())
+                run_bytes += run.data.size();
+            EXPECT_EQ(d.dataBytes(), run_bytes);
+            EXPECT_EQ(d.wireBytes(),
+                      Diff::kHeaderBytes +
+                          d.runCount() * Diff::kRunHeaderBytes +
+                          run_bytes);
+        }
+    }
+}
+
+/** An encoded single-run diff of a @p area_len byte area. */
+std::vector<std::byte>
+handEncodedDiff(std::uint32_t area_len, std::uint32_t offset,
+                std::uint32_t size)
+{
+    WireWriter w;
+    w.putU32(area_len);
+    w.putU32(1);
+    w.putU32(offset);
+    w.putU32(size);
+    for (std::uint32_t i = 0; i < size; ++i)
+        w.putU8(0x7f);
+    return w.take();
+}
+
+TEST(DiffDeathTest, RunOutOfBoundsIsRejected)
+{
+    auto bytes = std::make_shared<const std::vector<std::byte>>(
+        handEncodedDiff(64, 60, 8));
+    EXPECT_DEATH(
+        {
+            WireReader r(*bytes);
+            Diff::decode(r);
+        },
+        "diff run out of bounds");
+    EXPECT_DEATH(
+        {
+            WireReader r(*bytes);
+            Diff::decode(r, bytes);
+        },
+        "diff run out of bounds");
+}
+
+TEST(DiffDeathTest, TruncatedImageIsRejected)
+{
+    std::vector<std::byte> full = handEncodedDiff(64, 8, 16);
+    auto bytes = std::make_shared<const std::vector<std::byte>>(
+        full.begin(), full.end() - 1);
+    EXPECT_DEATH(
+        {
+            WireReader r(*bytes);
+            Diff::decode(r);
+        },
+        "wire underrun");
+    EXPECT_DEATH(
+        {
+            WireReader r(*bytes);
+            Diff::decode(r, bytes);
+        },
+        "wire underrun");
 }
 
 /** Property: create+apply reconstructs the modified buffer exactly,
@@ -267,15 +412,16 @@ expectMatchesReference(const Diff &d, const std::byte *cur,
                        const std::byte *twin, std::uint32_t len)
 {
     auto ref = referenceScan(cur, twin, len);
-    ASSERT_EQ(d.diffRuns().size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-        const DiffRun &run = d.diffRuns()[i];
+    ASSERT_EQ(d.runCount(), ref.size());
+    auto it = d.runs().begin();
+    for (std::size_t i = 0; i < ref.size(); ++i, ++it) {
+        const Diff::Run run = *it;
         EXPECT_EQ(run.offset, ref[i].first);
-        ASSERT_EQ(run.size, ref[i].second.size());
-        auto data = d.runData(run);
-        EXPECT_TRUE(std::equal(data.begin(), data.end(),
+        ASSERT_EQ(run.data.size(), ref[i].second.size());
+        EXPECT_TRUE(std::equal(run.data.begin(), run.data.end(),
                                ref[i].second.begin()));
     }
+    EXPECT_TRUE(it == d.runs().end());
 }
 
 /** Mutation patterns the scan must not mis-coalesce or miss. */
@@ -401,18 +547,18 @@ TEST(DiffGap, CoalescesRunsAcrossSmallGaps)
 
     Diff exact = Diff::create(cur.data(), twin.data(), 64, nullptr,
                               {ScanKernel::Wide, 0});
-    ASSERT_EQ(exact.diffRuns().size(), 3u);
+    ASSERT_EQ(exact.runCount(), 3u);
 
     Diff gap2 = Diff::create(cur.data(), twin.data(), 64, nullptr,
                              {ScanKernel::Wide, 2});
-    ASSERT_EQ(gap2.diffRuns().size(), 2u);
-    EXPECT_EQ(gap2.diffRuns()[0].offset, 0u);
-    EXPECT_EQ(gap2.diffRuns()[0].size, 16u); // words 0..3 incl. bridge
+    ASSERT_EQ(gap2.runCount(), 2u);
+    EXPECT_EQ(runsOf(gap2)[0].offset, 0u);
+    EXPECT_EQ(runsOf(gap2)[0].data.size(), 16u); // words 0..3 + bridge
     EXPECT_LT(gap2.wireBytes(), exact.wireBytes() + 8);
 
     Diff gap16 = Diff::create(cur.data(), twin.data(), 64, nullptr,
                               {ScanKernel::Wide, 16});
-    ASSERT_EQ(gap16.diffRuns().size(), 1u);
+    ASSERT_EQ(gap16.runCount(), 1u);
 
     // Coalesced diffs still reconstruct exactly (bridged bytes carry
     // the current copy's values).

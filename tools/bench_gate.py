@@ -160,6 +160,26 @@ def gate_ckpt(gate, fresh, baseline, tolerance):
               f"throughput)")
 
 
+def describe_host(doc):
+    host = doc.get("host")
+    if not host:
+        return "no host block"
+    return (f"{host.get('nproc', '?')} cores, "
+            f"{host.get('cpu_model', '?')}, "
+            f"{host.get('build_type', '?')}")
+
+
+def print_hosts(loaded):
+    """Informational: the host each fresh and baseline file was
+    recorded on. Nothing here gates."""
+    print("hosts (informational):")
+    for fname, fresh, baseline in loaded:
+        print(f"  {fname}:")
+        print(f"    fresh:    {describe_host(fresh)}")
+        print(f"    baseline: {describe_host(baseline)}")
+    print()
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--baseline-dir", required=True,
@@ -179,6 +199,7 @@ def main():
     args = ap.parse_args()
 
     gate = Gate()
+    runs = []
     for fname, fn, tol in (
             ("BENCH_diff.json", gate_diff, args.tolerance),
             ("BENCH_net.json", gate_net, args.net_tolerance),
@@ -194,7 +215,12 @@ def main():
             gate.failures.append(f"{fname}: fresh results missing at "
                                  f"{fresh_path}")
             continue
-        fn(gate, load(fresh_path), load(base_path), tol)
+        runs.append((fname, fn, tol, load(fresh_path), load(base_path)))
+
+    print_hosts([(fname, fresh, base)
+                 for fname, _, _, fresh, base in runs])
+    for fname, fn, tol, fresh, base in runs:
+        fn(gate, fresh, base, tol)
 
     print(f"\nchecked {gate.checked} ratios, "
           f"{len(gate.failures)} regression(s)")
