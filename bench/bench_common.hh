@@ -45,22 +45,17 @@ benchCluster()
     // bench runs at any (nodes x threads) point without recompiling.
     // Fast-path ablations (default on; set to 0 to fall back to the
     // seed behavior for old-vs-new comparisons in the table drivers).
-    if (const char *v = std::getenv("DSM_BATCH_DIFF"))
-        cc.batchDiffFetch = std::atoi(v) != 0;
     if (const char *v = std::getenv("DSM_GC"))
         cc.gcAtBarriers = std::atoi(v) != 0;
-    if (const char *v = std::getenv("DSM_WIDE_SCAN"))
-        cc.wideDiffScan = std::atoi(v) != 0;
     if (const char *v = std::getenv("DSM_POOL"))
         cc.pooledBuffers = std::atoi(v) != 0;
     if (const char *v = std::getenv("DSM_DIFF_GAP"))
         cc.diffGapWords = static_cast<std::uint32_t>(std::atoi(v));
     if (const char *v = std::getenv("DSM_NOTICE"))
         cc.piggybackWriteNotices = std::atoi(v) != 0;
-    // DSM_SIMD=0 and DSM_WIDE_SCAN=0 are additionally read by the
-    // scan-kernel dispatch itself (mem/wide_scan.cc): they pin the
-    // wide fallback / the seed scalar loop process-wide, so ctest
-    // legs cover the fallback tiers without going through this file.
+    // DSM_SIMD=0 is read by the scan-kernel dispatch itself
+    // (mem/wide_scan.cc): it pins the wide fallback process-wide, so a
+    // ctest leg covers that tier without going through this file.
     // Home-based LRC (LRC-diff only; timestamping stays homeless).
     if (const char *v = std::getenv("DSM_HOME"))
         cc.homeBasedLrc = std::atoi(v) != 0;

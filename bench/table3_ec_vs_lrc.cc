@@ -28,7 +28,7 @@ main()
     std::vector<std::string> headers = {
         "Application", "NxT", "1 proc.", "EC", "LRC", "LRC-home",
         "EC Imp.", "LRC Imp.", "EC msgs", "LRC msgs", "LRCh msgs",
-        "EC MB", "LRC MB", "LRCh MB", "LRCh optRd s/r/f"};
+        "EC MB", "LRC MB", "LRCh MB"};
     if (recovery) {
         headers.push_back("Ckpt KB");
         headers.push_back("Restore us");
@@ -70,13 +70,7 @@ main()
             std::to_string(home.run.total.messagesSent),
             fmtMb(be.run.megabytesSent()),
             fmtMb(bl.run.megabytesSent()),
-            fmtMb(home.run.megabytesSent()),
-            // Optimistic home-read traffic of the home-based column
-            // (served/retries/fallbacks; all zero unless DSM_OPT_READ
-            // arms the lock-free snapshot path).
-            std::to_string(home.run.total.optReadsServed) + "/" +
-                std::to_string(home.run.total.optReadRetries) + "/" +
-                std::to_string(home.run.total.optReadFallbacks)};
+            fmtMb(home.run.megabytesSent())};
         if (recovery) {
             const std::uint64_t kb =
                 std::max({be.run.checkpointBytes, bl.run.checkpointBytes,

@@ -359,6 +359,20 @@ SorApp::runEc(Runtime &rt, const AppParams &params)
             std::memcpy(priv[i].data(), src, cols * sizeof(float));
         }
     };
+    // The up or down row of an update. Rows lo-1 and hi belong to the
+    // neighbour bands, whose owners write that phase's colour half of
+    // them meanwhile (a read lock does not exclude a sibling's write
+    // lock on an SMP node). updateRow reads only the other colour's
+    // half of its up and down rows, so copy just that half.
+    auto load_adjacent = [&](int i, int color, float *dst) {
+        if (i >= lo && i < hi) {
+            load_row(i, dst);
+            return;
+        }
+        const int start = color == 0 ? cols / 2 : 0;
+        rt.readBuf(rowAddr(l, g, i) + start * sizeof(float), dst + start,
+                   cols / 2);
+    };
 
     for (int iter = 0; iter < params.sorIters; ++iter) {
         for (int color = 0; color < 2; ++color) {
@@ -373,9 +387,9 @@ SorApp::runEc(Runtime &rt, const AppParams &params)
                 rt.acquire(interiorLock(g, self), AccessMode::Write);
 
             for (int i = lo; i < hi; ++i) {
-                load_row(i - 1, prev_row.data());
+                load_adjacent(i - 1, color, prev_row.data());
                 load_row(i, cur_row.data());
-                load_row(i + 1, next_row.data());
+                load_adjacent(i + 1, color, next_row.data());
                 updateRow(i, color, cols, prev_row.data(),
                           cur_row.data(), next_row.data());
                 store_half(i, color, cur_row.data());

@@ -54,7 +54,6 @@ Cluster::Cluster(const ClusterConfig &config) : cfg(config)
     cfg.homePingPongLimit =
         static_cast<int>(cfg.resolvedHomePingPongLimit());
     cfg.homeFlushDefer = cfg.resolvedHomeFlushDefer() ? 1 : 0;
-    cfg.optimisticHomeReads = cfg.resolvedOptimisticHomeReads() ? 1 : 0;
     // Latency-path knobs (PR 9).
     cfg.blockingDequeue = cfg.resolvedBlockingDequeue() ? 1 : 0;
     cfg.lockFairnessAdaptive = cfg.resolvedLockFairnessAdaptive() ? 1 : 0;
@@ -62,8 +61,6 @@ Cluster::Cluster(const ClusterConfig &config) : cfg(config)
     // in-process-only fallback sees their resolved values too.
     cfg.transport = cfg.resolvedTransport();
     cfg.socketDir = cfg.resolvedSocketDir();
-    DSM_ASSERT(cfg.optReadMaxRetries >= 0, "bad optReadMaxRetries %d",
-               cfg.optReadMaxRetries);
     // Crash-tolerance knobs, same discipline. Order matters: the kill
     // epoch defaults on the kill node, and checkpointing engages on
     // either a kill or a snapshot directory.

@@ -165,12 +165,6 @@ ClusterConfig::resolvedHomeFlushDefer() const
 }
 
 bool
-ClusterConfig::resolvedOptimisticHomeReads() const
-{
-    return resolveEnvDefault(optimisticHomeReads, "DSM_OPT_READ", 0) != 0;
-}
-
-bool
 ClusterConfig::resolvedBlockingDequeue() const
 {
     return resolveEnvDefault(blockingDequeue, "DSM_BLOCKING_DEQ", 0) != 0;

@@ -106,14 +106,6 @@ struct ClusterConfig
     // --- Fast-path memory pipeline (ablatable against the seed paths).
 
     /**
-     * Compare 64-bit blocks during diff creation and twin-vs-copy
-     * timestamp stamping, skipping clean memory 32 bytes at a time.
-     * Disabling it reproduces the seed per-4-byte memcmp scan. Both
-     * emit identical word-granularity runs.
-     */
-    bool wideDiffScan = true;
-
-    /**
      * Coalesce diff runs separated by at most this many unchanged
      * words into one run (fewer per-run wire headers, more payload
      * bytes). 0 keeps runs word-exact — required whenever concurrent
@@ -121,15 +113,6 @@ struct ClusterConfig
      * only safe general default for LRC's multi-writer protocol.
      */
     std::uint32_t diffGapWords = 0;
-
-    /**
-     * Batch LRC access-miss traffic: one diff request/reply pair per
-     * writer carries all of a page's missing intervals and piggybacks
-     * other invalid pages whose pending writers are already being
-     * contacted. Disabling it falls back to the seed one-request-per-
-     * (page, writer) protocol.
-     */
-    bool batchDiffFetch = true;
 
     /**
      * Recycle wire payload and twin buffers through the process-wide
@@ -254,29 +237,6 @@ struct ClusterConfig
      * homeMigrationsSuppressed.
      */
     int homePingPongLimit = -1;
-
-    /**
-     * Optimistic lock-free home reads (FaRM-style version
-     * validation): a read-only access miss asks the home for a
-     * versioned snapshot, and the home's service thread answers it
-     * without acquiring the node's core/home protocol locks — it
-     * seqlock-copies the page against the per-cacheline version
-     * footer maintained by guarded flush application, retrying on a
-     * torn read and falling back to the locked path after
-     * optReadMaxRetries tears (or when the snapshot cannot cover the
-     * requester's needed intervals). The reply carries the home's
-     * migration epoch; a requester whose mapping disagrees rejects
-     * the snapshot and refetches. -1 = DSM_OPT_READ env if set, else
-     * off. Counted by optReadsServed / optReadRetries /
-     * optReadFallbacks. Only meaningful with homeBasedLrc.
-     */
-    int optimisticHomeReads = -1;
-
-    /**
-     * Torn optimistic snapshots tolerated before one request falls
-     * back to the locked home read path.
-     */
-    int optReadMaxRetries = 3;
 
     /**
      * Defer HomeDiffFlush sends and merge the payloads per home: a
@@ -439,7 +399,7 @@ struct ClusterConfig
      */
     int ckptAnchorEvery = -1;
 
-    // --- Transport tier (DESIGN.md §9). Same env-resolution
+    // --- Transport tier (DESIGN.md §8). Same env-resolution
     // convention: the empty string means "take DSM_TRANSPORT at
     // Cluster construction, ring when unset".
 
@@ -491,9 +451,6 @@ struct ClusterConfig
 
     /** homeFlushDefer with the -1 = "env or off" default. */
     bool resolvedHomeFlushDefer() const;
-
-    /** optimisticHomeReads with the -1 = "env or off" default. */
-    bool resolvedOptimisticHomeReads() const;
 
     /** blockingDequeue with the -1 = "env or off" default. */
     bool resolvedBlockingDequeue() const;

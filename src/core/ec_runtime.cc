@@ -1,6 +1,7 @@
 #include "core/ec_runtime.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "mem/wide_scan.hh"
 #include "util/logging.hh"
@@ -77,6 +78,20 @@ EcRuntime::scatterRanges(const LockInfo &info, const std::byte *buf)
                            std::uint64_t len) {
         std::memcpy(arena->at(addr), buf + off, len);
     });
+}
+
+NodeLocks::ShardSpan
+EcRuntime::boundShards(const LockInfo &info)
+{
+    PageId first = std::numeric_limits<PageId>::max();
+    PageId last = 0;
+    for (const Range &range : info.ranges) {
+        if (range.size == 0)
+            continue;
+        first = std::min(first, arena->pageOf(range.addr));
+        last = std::max(last, arena->pageOf(range.addr + range.size - 1));
+    }
+    return NodeLocks::ShardSpan(*nl, std::min(first, last), last);
 }
 
 std::uint32_t
@@ -277,7 +292,7 @@ std::vector<Run>
 EcRuntime::twinChanges(LockId lock, LockInfo &li)
 {
     std::vector<Run> byte_runs;
-    const ScanKernel kernel = scanKernelFor(cluster->wideDiffScan);
+    const ScanKernel kernel = bestScanKernel();
     auto compare = [&](const std::byte *cur, const std::byte *twin,
                        std::uint64_t len, std::uint64_t concat_base) {
         const std::uint32_t words = static_cast<std::uint32_t>(len / 4);
@@ -597,9 +612,14 @@ EcRuntime::applyGrant(LockId lock, AccessMode, WireReader &r)
         return;
     }
 
+    // A sibling's twin fault copies whole pages under their shards,
+    // bytes bound to this lock included, so the granted data is
+    // written under them too (held once per grant: EC-time grants
+    // carry many runs of a few words each).
     if (!usesDiffing()) {
         const std::uint32_t nruns = r.getU32();
         std::uint64_t words = 0;
+        NodeLocks::ShardSpan span = boundShards(li);
         for (std::uint32_t i = 0; i < nruns; ++i) {
             const std::uint32_t first = r.getU32();
             const std::uint32_t count = r.getU32();
@@ -639,6 +659,7 @@ EcRuntime::applyGrant(LockId lock, AccessMode, WireReader &r)
                 // Save for possible future transmission (Section 5.2).
                 li.history.emplace_back(tag, std::move(d));
             }
+            NodeLocks::ShardSpan span = boundShards(li);
             scatterRanges(li, buf.data());
         }
         // A full send (one diff spanning the whole binding) can serve

@@ -94,6 +94,10 @@ class EcRuntime : public Runtime
     /** Write a concatenated buffer back to the bound ranges. */
     void scatterRanges(const LockInfo &info, const std::byte *buf);
 
+    /** Hold the memory shards of every page @p info's ranges touch
+     *  for the returned span's scope. */
+    NodeLocks::ShardSpan boundShards(const LockInfo &info);
+
     LockInfo &info(LockId lock);
 
     std::uint32_t numBlocks(const LockInfo &info) const;

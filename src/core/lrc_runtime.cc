@@ -1,8 +1,8 @@
 #include "core/lrc_runtime.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <span>
+#include <string>
 
 #include "core/checkpoint.hh"
 #include "util/buffer_pool.hh"
@@ -25,12 +25,9 @@ LrcRuntime::LrcRuntime(const Deps &deps)
             deps.cluster->homeMigrateLastWriter > 0,
             deps.cluster->homeWriterSwitchThreshold,
             static_cast<std::uint32_t>(
-                std::max(0, deps.cluster->homePingPongLimit)),
-            deps.arena->numPages())
+                std::max(0, deps.cluster->homePingPongLimit)))
 {
     DSM_ASSERT(cluster->runtime.model == Model::LRC, "config mismatch");
-    optRead = homeMode() && cluster->optimisticHomeReads > 0;
-    optReadRetryBudget = std::max(0, cluster->optReadMaxRetries);
     announceWrites = !homeMode() && usesDiffing() &&
                      cluster->diffGapWords > 0;
     // PageMeta::writerMask is one bit per node; Cluster enforces the
@@ -121,6 +118,22 @@ LrcRuntime::resolveCoveredNotices(PageId page, PageMeta &m)
         invalidPages.erase(page);
 }
 
+void
+LrcRuntime::assertNoticesResolved(PageId page, const PageMeta &m,
+                                  const char *fetch) const
+{
+    if (threadsT != 1 || m.notices.empty())
+        return;
+    std::string left;
+    for (const auto &[proc, idx] : m.notices)
+        left += " (" + std::to_string(proc) + "," + std::to_string(idx) + ")";
+    DSM_ASSERT(m.notices.empty(),
+               "[node %d] page %u still has pending notices after %s "
+               "fetch:%s copyVt=%s vt=%s",
+               id, page, fetch, left.c_str(), m.copyVt.toString().c_str(),
+               vt.toString().c_str());
+}
+
 BlockTimestamps &
 LrcRuntime::tsOf(PageId page)
 {
@@ -204,7 +217,7 @@ LrcRuntime::closeInterval()
             // writer history (adaptive single-writer coalescing).
             const bool single_writer =
                 (meta(p).writerMask & ~(std::uint64_t{1} << id)) == 0;
-            const DiffScan scan{scanKernelFor(cluster->wideDiffScan),
+            const DiffScan scan{bestScanKernel(),
                                 (homeMode() || !single_writer)
                                     ? 0
                                     : cluster->diffGapWords};
@@ -239,14 +252,7 @@ LrcRuntime::closeInterval()
                         hs.wordSums, cur, twin,
                         static_cast<std::uint32_t>(arena->pageSize()),
                         vt_sum, scan.kernel);
-                    // Published atomically: the lock-free snapshot
-                    // path reads appliedVt elements without the home
-                    // lock (a racing reader may still see the old
-                    // value — it merely understates coverage, which
-                    // the client treats as a fallback, never as a
-                    // wrong page).
-                    std::atomic_ref<std::uint32_t>(hs.appliedVt[id])
-                        .store(idx, std::memory_order_release);
+                    hs.appliedVt[id] = idx;
                     // Keep the migratory classifier aware of local
                     // writes (a self interval is a writer switch when
                     // a remote one preceded it; never migrates).
@@ -829,12 +835,12 @@ LrcRuntime::preBarrier()
 }
 
 void
-LrcRuntime::ensurePresent(PageId page, bool read_only)
+LrcRuntime::ensurePresent(PageId page)
 {
     // The access bits are atomics: the valid-page fast path takes no
     // lock at all. fetchPage revalidates under the protocol locks.
     if (pages.access(page) == PageAccess::None)
-        fetchPage(page, read_only);
+        fetchPage(page);
 }
 
 void
@@ -845,7 +851,7 @@ LrcRuntime::doRead(GlobalAddr addr, void *dst, std::size_t size)
     const PageId first = arena->pageOf(addr);
     const PageId last = arena->pageOf(addr + size - 1);
     for (PageId p = first; p <= last; ++p)
-        ensurePresent(p, /*read_only=*/true);
+        ensurePresent(p);
     // The copy itself holds the shards: the home-based protocol (and,
     // on SMP nodes, sibling fetches) applies remote writes to valid
     // pages from other threads, and a torn word must never reach the
@@ -909,21 +915,8 @@ LrcRuntime::doWrite(GlobalAddr addr, const void *src, std::size_t size,
                                arena->pageSize());
                 pages.setAccess(p, PageAccess::ReadWrite);
             }
-            if (optRead) {
-                // Our stores race with the service thread's lock-free
-                // snapshot copies (which serve other nodes' read-only
-                // misses off any page homed here, including pages our
-                // open interval is mutating). Byte-wise atomic stores
-                // keep that race defined: a snapshot can only tear
-                // across our *uncommitted* writes, which no remote
-                // need vector can cover yet.
-                optAtomicWriteBytes(arena->at(page_lo),
-                                    bytes + (page_lo - addr),
-                                    page_hi - page_lo);
-            } else {
-                std::memcpy(arena->at(page_lo), bytes + (page_lo - addr),
-                            page_hi - page_lo);
-            }
+            std::memcpy(arena->at(page_lo), bytes + (page_lo - addr),
+                        page_hi - page_lo);
             break;
         }
     }
@@ -933,20 +926,20 @@ LrcRuntime::doWrite(GlobalAddr addr, const void *src, std::size_t size,
 // Access-miss servicing.
 
 void
-LrcRuntime::fetchPage(PageId page, bool read_only)
+LrcRuntime::fetchPage(PageId page)
 {
     stats().accessMisses++;
     clock().add(costModel().pageFaultNs);
-    fetchPageData(page, read_only);
+    fetchPageData(page);
 }
 
 void
-LrcRuntime::fetchPageData(PageId page, bool read_only)
+LrcRuntime::fetchPageData(PageId page)
 {
     if (threadsT == 1) {
         // Single app thread: exactly the historical dispatch.
         if (homeMode())
-            fetchFromHome(page, read_only);
+            fetchFromHome(page);
         else if (usesDiffing())
             fetchDiffs(page);
         else
@@ -971,7 +964,7 @@ LrcRuntime::fetchPageData(PageId page, bool read_only)
     // application raced a fresh notice in; retry until current.
     do {
         if (homeMode())
-            fetchFromHome(page, read_only);
+            fetchFromHome(page);
         else if (usesDiffing())
             fetchDiffs(page);
         else
@@ -998,19 +991,14 @@ struct FetchedDiff
 };
 
 /** HomePageRequest payload; shared by the fresh-request and the two
- *  forwarding paths so the wire layout lives in one place. @p flags
- *  bit 0 asks the home for a lock-free version-validated snapshot
- *  (read-only miss under DSM_OPT_READ); forwards clear it, since a
- *  forwarded request has already paid the routing hop and the locked
- *  path answers it with piggybacked records. */
+ *  forwarding paths so the wire layout lives in one place. */
 std::vector<std::byte>
 encodePageRequest(NodeId origin, PageId page, const VectorTime &need,
-                  const VectorTime &req_log, std::uint8_t flags = 0)
+                  const VectorTime &req_log)
 {
     WireWriter w;
     w.putU16(static_cast<std::uint16_t>(origin));
     w.putU32(page);
-    w.putU8(flags);
     need.encode(w);
     req_log.encode(w);
     return w.take();
@@ -1074,11 +1062,6 @@ LrcRuntime::snapshotBatchTargets(PageId page,
 void
 LrcRuntime::fetchDiffs(PageId page)
 {
-    if (!cluster->batchDiffFetch) {
-        fetchDiffsLegacy(page);
-        return;
-    }
-
     std::vector<NodeId> responders;
     std::vector<BatchPageReq> reqs;
     VectorTime log_cov;
@@ -1150,12 +1133,7 @@ LrcRuntime::fetchDiffs(PageId page)
     for (const BatchPageReq &pr : reqs) {
         PageMeta &m = meta(pr.page);
         resolveCoveredNotices(pr.page, m);
-        if (threadsT == 1) {
-            DSM_ASSERT(m.notices.empty(),
-                       "page %u still has pending notices after "
-                       "batched fetch",
-                       pr.page);
-        }
+        assertNoticesResolved(pr.page, m, "batched diff");
         if (m.notices.empty()) {
             // Only None -> valid: a sibling may have validated (and
             // even re-twinned) the page while our replies were in
@@ -1187,101 +1165,6 @@ LrcRuntime::fetchDiffs(PageId page)
 }
 
 void
-LrcRuntime::fetchDiffsLegacy(PageId page)
-{
-    std::vector<NodeId> responders;
-    VectorTime copy_vt;
-    VectorTime log_cov;
-    {
-        std::lock_guard<std::mutex> g(nl->core);
-        PageMeta &m = meta(page);
-        copy_vt = m.copyVt;
-        log_cov = logCoverage();
-        for (const auto &[proc, idx] : m.notices) {
-            if (idx > copy_vt[proc] &&
-                std::find(responders.begin(), responders.end(), proc) ==
-                    responders.end() &&
-                proc != id) {
-                responders.push_back(proc);
-            }
-        }
-    }
-
-    std::vector<FetchedDiff> fetched;
-    std::vector<IntervalRec> precs;
-    for (NodeId q : responders) {
-        WireWriter w;
-        w.putU32(page);
-        copy_vt.encode(w);
-        log_cov.encode(w);
-        stats().diffRequestsSent++;
-        Message reply = ep->call(q, MsgType::DiffRequest, w.take());
-        const std::shared_ptr<const std::vector<std::byte>> payload =
-            std::make_shared<std::vector<std::byte>>(
-                std::move(reply.payload));
-        WireReader r(*payload);
-        const std::uint32_t n = r.getU32();
-        for (std::uint32_t i = 0; i < n; ++i) {
-            FetchedDiff f;
-            f.page = page;
-            f.proc = static_cast<NodeId>(r.getU16());
-            f.idx = r.getU32();
-            f.vtSum = r.getU64();
-            f.diff = Diff::decode(r, payload);
-            fetched.push_back(std::move(f));
-        }
-        decodePiggybackedRecords(r, precs);
-    }
-
-    // Apply in a linear extension of happens-before (sum order), with
-    // word-granularity merging for concurrent multi-writer diffs.
-    sortForApply(fetched);
-
-    std::lock_guard<std::mutex> g(nl->core);
-    PageMeta &m = meta(page);
-    for (FetchedDiff &f : fetched) {
-        if (f.idx <= m.copyVt[f.proc])
-            continue; // duplicate from another responder
-        {
-            std::lock_guard<std::mutex> sg(nl->shardFor(page));
-            std::byte *base = arena->at(arena->pageBase(page));
-            f.diff.apply(base, &stats());
-            if (twins.hasPage(page))
-                f.diff.apply(twins.pageTwinMut(page).data());
-        }
-        clock().add(costModel().perWordApplyNs *
-                    ((f.diff.dataBytes() + 3) / 4));
-        m.copyVt[f.proc] = std::max(m.copyVt[f.proc], f.idx);
-        f.applied = true;
-    }
-    resolveCoveredNotices(page, m);
-    if (threadsT == 1) {
-        DSM_ASSERT(m.notices.empty(),
-                   "page %u still has pending notices after fetch",
-                   page);
-    }
-    if (m.notices.empty()) {
-        std::lock_guard<std::mutex> sg(nl->shardFor(page));
-        if (pages.access(page) == PageAccess::None) {
-            pages.setAccess(page, twins.hasPage(page)
-                                      ? PageAccess::ReadWrite
-                                      : PageAccess::Read);
-        }
-    }
-    {
-        // Save for possible future transmission (Section 5.2).
-        std::lock_guard<std::mutex> dg(nl->diff);
-        for (FetchedDiff &f : fetched) {
-            if (f.applied) {
-                diffStore[{page, packTs(f.proc, f.idx)}] = {
-                    std::move(f.diff), f.vtSum};
-            }
-        }
-    }
-    applyPiggybackedRecords(precs, {{page, VectorTime()}});
-}
-
-void
 LrcRuntime::installFullPage(PageId page, WireReader &r)
 {
     std::lock_guard<std::mutex> sg(nl->shardFor(page));
@@ -1305,7 +1188,7 @@ LrcRuntime::installFullPage(PageId page, WireReader &r)
 }
 
 void
-LrcRuntime::fetchFromHome(PageId page, bool read_only)
+LrcRuntime::fetchFromHome(PageId page)
 {
     // The wait runs on nl->core (homeCv's mutex); the home table is
     // probed under nl->home inside (core -> home is in lock order).
@@ -1317,15 +1200,6 @@ LrcRuntime::fetchFromHome(PageId page, bool read_only)
         std::lock_guard<std::mutex> hg(nl->home);
         return homes.homeOf(page);
     };
-    auto epoch_of = [&] {
-        std::lock_guard<std::mutex> hg(nl->home);
-        return homes.epochOf(page);
-    };
-    // Read-only misses under DSM_OPT_READ ask the home for a lock-free
-    // snapshot; after the retry budget's worth of stale-epoch rejects
-    // the flag is dropped and the locked path guarantees progress.
-    bool want_snapshot = optRead && read_only;
-    int epoch_rejects = 0;
     std::unique_lock<std::mutex> g(nl->core);
     for (;;) {
         // Deferred flushes first: our own unsent flush may be exactly
@@ -1362,14 +1236,10 @@ LrcRuntime::fetchFromHome(PageId page, bool read_only)
         VectorTime log_cov = logCoverage();
         g.unlock();
         stats().pageFetchRoundTrips++;
-        const std::uint8_t flags =
-            (want_snapshot && epoch_rejects <= optReadRetryBudget)
-                ? std::uint8_t{1}
-                : std::uint8_t{0};
         bool home_down = false;
         Message reply =
             ep->call(home, MsgType::HomePageRequest,
-                     encodePageRequest(id, page, need, log_cov, flags),
+                     encodePageRequest(id, page, need, log_cov),
                      &home_down);
         if (home_down) {
             // Typed degradation: the home was declared down mid-wait
@@ -1436,32 +1306,6 @@ LrcRuntime::fetchFromHome(PageId page, bool read_only)
         }
         WireReader r(reply.payload);
         VectorTime got = VectorTime::decode(r);
-        if (reply.type == MsgType::HomePageSnapshotReply) {
-            // Lock-free snapshot: stamped with the serving home's
-            // migration epoch. A stamp older than the epoch we now
-            // know for the page means the snapshot left a home that
-            // has since been deposed — the current home may hold
-            // flushes the old copy never saw, so reject it and
-            // refetch against the current mapping. (The server-side
-            // seqlock already rules out torn lines; this guards the
-            // in-flight window.)
-            const std::uint32_t snap_epoch = r.getU32();
-            if (snap_epoch < epoch_of()) {
-                stats().optReadFallbacks++;
-                if (++epoch_rejects > optReadRetryBudget)
-                    want_snapshot = false;
-                BufferPool::instance().release(std::move(reply.payload));
-                continue;
-            }
-            const std::uint32_t nlines = r.getU32();
-            for (std::uint32_t l = 0; l < nlines; ++l) {
-                const std::uint32_t v = r.getU32();
-                DSM_ASSERT((v & 1u) == 0,
-                           "validated snapshot of page %u carries an "
-                           "odd line version (%u)",
-                           page, v);
-            }
-        }
         if (!got.dominates(meta(page).copyVt)) {
             // The replying home lost the role while our request was in
             // flight and our copy has moved past its answer meanwhile
@@ -1477,23 +1321,13 @@ LrcRuntime::fetchFromHome(PageId page, bool read_only)
         }
         installFullPage(page, r);
         std::vector<IntervalRec> precs;
-        if (reply.type != MsgType::HomePageSnapshotReply) {
-            // Snapshot replies carry no piggybacked records: the home
-            // never consulted its interval log (that would need the
-            // core lock the fast path exists to avoid).
-            decodePiggybackedRecords(r, precs);
-        }
+        decodePiggybackedRecords(r, precs);
         clock().add(costModel().perWordApplyNs *
                     (arena->pageSize() / 4));
         PageMeta &m = meta(page);
         m.copyVt.mergeMax(got);
         resolveCoveredNotices(page, m);
-        if (threadsT == 1) {
-            DSM_ASSERT(m.notices.empty(),
-                       "page %u still has pending notices after home "
-                       "fetch",
-                       page);
-        }
+        assertNoticesResolved(page, m, "home");
         if (m.notices.empty()) {
             std::lock_guard<std::mutex> sg(nl->shardFor(page));
             if (pages.access(page) == PageAccess::None) {
@@ -1511,11 +1345,6 @@ LrcRuntime::fetchFromHome(PageId page, bool read_only)
 void
 LrcRuntime::fetchTimestamps(PageId page)
 {
-    if (!cluster->batchDiffFetch) {
-        fetchTimestampsLegacy(page);
-        return;
-    }
-
     // One batched request per writer instead of one per (page,
     // writer): snapshot the target page's pending writers, piggyback
     // every other invalid page whose pending writers are a subset, and
@@ -1575,64 +1404,6 @@ LrcRuntime::fetchTimestamps(PageId page)
             stats().tsPagesPiggybacked++;
     }
     countAvoidedReinvalidations(fresh_recs, reqs);
-}
-
-void
-LrcRuntime::fetchTimestampsLegacy(PageId page)
-{
-    std::vector<NodeId> responders;
-    VectorTime copy_vt;
-    VectorTime global_vt;
-    VectorTime log_cov;
-    {
-        std::lock_guard<std::mutex> g(nl->core);
-        PageMeta &m = meta(page);
-        copy_vt = m.copyVt;
-        global_vt = vt;
-        log_cov = logCoverage();
-        for (const auto &[proc, idx] : m.notices) {
-            if (idx > copy_vt[proc] &&
-                std::find(responders.begin(), responders.end(), proc) ==
-                    responders.end() &&
-                proc != id) {
-                responders.push_back(proc);
-            }
-        }
-    }
-
-    std::vector<TsReplySet> replies;
-    std::vector<IntervalRec> precs;
-    for (NodeId q : responders) {
-        WireWriter w;
-        w.putU32(page);
-        copy_vt.encode(w);
-        global_vt.encode(w);
-        log_cov.encode(w);
-        stats().tsRequestsSent++;
-        Message msg = ep->call(q, MsgType::PageTsRequest, w.take());
-        WireReader r(msg.payload);
-        TsReplySet reply;
-        reply.pageVt = VectorTime::decode(r);
-        const std::uint32_t nruns = r.getU32();
-        for (std::uint32_t i = 0; i < nruns; ++i) {
-            TsRun run;
-            run.firstBlock = r.getU32();
-            run.numBlocks = r.getU32();
-            run.ts = r.getU64();
-            std::vector<std::byte> bytes(std::size_t{run.numBlocks} * 4);
-            r.getBytes(bytes.data(), bytes.size());
-            reply.runs.push_back(run);
-            reply.data.push_back(std::move(bytes));
-        }
-        decodePiggybackedRecords(r, precs);
-        replies.push_back(std::move(reply));
-        BufferPool::instance().release(std::move(msg.payload));
-    }
-
-    std::lock_guard<std::mutex> g(nl->core);
-    auto fresh_recs = ingestPiggybackedRecords(precs);
-    applyTsReplies(page, replies);
-    countAvoidedReinvalidations(fresh_recs, {{page, VectorTime()}});
 }
 
 void
@@ -1713,18 +1484,7 @@ LrcRuntime::applyTsReplies(PageId page,
     clock().add(costModel().perWordApplyNs * words_applied);
 
     resolveCoveredNotices(page, m);
-    if (threadsT == 1 && !m.notices.empty()) {
-        for (auto &[np_, ni] : m.notices) {
-            std::fprintf(stderr,
-                         "[node %d] page %u leftover notice (%d,%u) "
-                         "copyVt=%s vt=%s\n",
-                         id, page, np_, ni, m.copyVt.toString().c_str(),
-                         vt.toString().c_str());
-        }
-        DSM_ASSERT(false,
-                   "page %u still has pending notices after ts fetch",
-                   page);
-    }
+    assertNoticesResolved(page, m, "ts");
     if (m.notices.empty()) {
         std::lock_guard<std::mutex> sg(nl->shardFor(page));
         if (pages.access(page) == PageAccess::None) {
@@ -1739,14 +1499,8 @@ void
 LrcRuntime::handleMessage(Message &msg)
 {
     switch (msg.type) {
-      case MsgType::DiffRequest:
-        handleDiffRequest(msg);
-        break;
       case MsgType::DiffBatchRequest:
         handleDiffBatchRequest(msg);
-        break;
-      case MsgType::PageTsRequest:
-        handlePageTsRequest(msg);
         break;
       case MsgType::PageTsBatchRequest:
         handlePageTsBatchRequest(msg);
@@ -1792,28 +1546,6 @@ LrcRuntime::encodeDiffs(WireWriter &w, std::span<const OutgoingDiff> diffs)
         d.diff.encode(w);
         stats().diffBytesSent += d.diff.wireBytes();
     }
-}
-
-void
-LrcRuntime::handleDiffRequest(Message &msg)
-{
-    WireReader r(msg.payload);
-    const PageId page = r.getU32();
-    VectorTime req_vt = VectorTime::decode(r);
-    VectorTime req_log = VectorTime::decode(r);
-
-    std::vector<OutgoingDiff> send;
-    std::uint64_t bytes = 0;
-    {
-        std::lock_guard<std::mutex> dg(nl->diff);
-        bytes = collectDiffsNewerThan(page, req_vt, send);
-    }
-    WireWriter recs;
-    encodePiggybackedRecords(recs, req_log);
-    WireWriter w(bytes + recs.size());
-    encodeDiffs(w, send);
-    w.putBytes(recs.data(), recs.size());
-    ep->reply(msg.src, MsgType::DiffReply, w.take(), msg.replyToken);
 }
 
 void
@@ -1902,22 +1634,6 @@ LrcRuntime::encodeTsNewerThan(WireWriter &w, PageId page,
                                std::size_t{run.numBlocks} * 4;
     }
     stats().tsRunsSent += runs.size();
-}
-
-void
-LrcRuntime::handlePageTsRequest(Message &msg)
-{
-    WireReader r(msg.payload);
-    const PageId page = r.getU32();
-    VectorTime req_vt = VectorTime::decode(r);
-    VectorTime req_global = VectorTime::decode(r);
-    VectorTime req_log = VectorTime::decode(r);
-
-    std::lock_guard<std::mutex> g(nl->core);
-    WireWriter w;
-    encodeTsNewerThan(w, page, req_vt, req_global);
-    encodePiggybackedRecords(w, req_log);
-    ep->reply(msg.src, MsgType::PageTsReply, w.take(), msg.replyToken);
 }
 
 void
@@ -2162,18 +1878,10 @@ LrcRuntime::applyFlushAtHome(PageId page, NodeId proc, std::uint32_t idx,
                               ? twins.pageTwinMut(page).data()
                               : nullptr;
         words = applyDiffGuarded(base, hs.wordSums, diff, vt_sum,
-                                 &stats(), twin,
-                                 optRead ? hs.lineVersions.get()
-                                         : nullptr);
+                                 &stats(), twin);
     }
     clock().add(costModel().perWordApplyNs * words);
-    {
-        // Atomic element store: the lock-free snapshot path reads
-        // appliedVt without the home lock (see closeInterval).
-        std::atomic_ref<std::uint32_t> slot(hs.appliedVt[proc]);
-        slot.store(std::max(slot.load(std::memory_order_relaxed), idx),
-                   std::memory_order_release);
-    }
+    hs.appliedVt[proc] = std::max(hs.appliedVt[proc], idx);
     // Sharing-policy classification: every applied flush is one
     // writer's interval; switching writers marks the page migratory
     // and the last-writer policy follows the chain.
@@ -2310,18 +2018,8 @@ LrcRuntime::handleHomePageRequest(Message &msg)
     WireReader r(msg.payload);
     const NodeId origin = static_cast<NodeId>(r.getU16());
     const PageId page = r.getU32();
-    const std::uint8_t flags = r.getU8();
     VectorTime need = VectorTime::decode(r);
     VectorTime req_log = VectorTime::decode(r);
-
-    if (optRead && (flags & 1u) != 0 &&
-        tryServeSnapshot(origin, msg.replyToken, page, need)) {
-        // Served lock-free: no core/home acquire, no migration
-        // accounting (read-fan-in stays invisible to the access
-        // classifier by design — the hot-read homes this path exists
-        // for must not ping-pong toward their readers).
-        return;
-    }
 
     std::scoped_lock g(nl->core, nl->home);
     if (!homes.isHome(page)) {
@@ -2350,128 +2048,6 @@ LrcRuntime::handleHomePageRequest(Message &msg)
     }
     if (migrate)
         migrateHome(page, origin);
-}
-
-bool
-LrcRuntime::tryServeSnapshot(NodeId origin, std::uint64_t token,
-                             PageId page, const VectorTime &need)
-{
-    // Mapping reads without nl->home: this service thread is the sole
-    // writer of the home table's override map (every setHome runs in
-    // a handler here, or in a quiesced checkpoint restore), so its own
-    // reads cannot race a mutation.
-    if (!homes.isHome(page))
-        return false; // stale mapping: forward through the locked path
-    const std::uint32_t epoch = homes.epochOf(page);
-    const std::uint32_t page_bytes =
-        static_cast<std::uint32_t>(arena->pageSize());
-    const std::byte *src = arena->at(arena->pageBase(page));
-    PageHomeTable::HomeState *hs = homes.snapshotState(page);
-
-    WireWriter w;
-    if (hs == nullptr) {
-        // Homed here but never flushed (initialization data only): the
-        // copy is trivially current iff the requester needs no
-        // interval at all. Anything else goes through the locked path,
-        // which creates the state and parks the request.
-        bool all_zero = true;
-        for (NodeId n = 0; n < numProcs; ++n)
-            all_zero = all_zero && need[n] == 0;
-        if (!all_zero) {
-            stats().optReadFallbacks++;
-            return false;
-        }
-        VectorTime zero(numProcs);
-        zero.encode(w);
-        w.putU32(epoch);
-        const std::uint32_t nlines =
-            (page_bytes + kOptLineBytes - 1) / kOptLineBytes;
-        w.putU32(nlines);
-        for (std::uint32_t l = 0; l < nlines; ++l)
-            w.putU32(0);
-        const std::size_t data_off = w.appendRegion(page_bytes);
-        optAtomicReadBytes(w.data() + data_off, src, page_bytes);
-        stats().optReadsServed++;
-        ep->reply(origin, MsgType::HomePageSnapshotReply, w.take(),
-                  token);
-        return true;
-    }
-
-    // Coverage first, copy second: appliedVt elements are read
-    // atomically *before* the data, so a racing flush can only make
-    // the copy newer than the vector claims — the client merges the
-    // understated vector and later notices re-invalidate, which is
-    // conservative, never wrong.
-    VectorTime applied(numProcs);
-    for (NodeId n = 0; n < numProcs; ++n) {
-        applied[n] = std::atomic_ref<std::uint32_t>(hs->appliedVt[n])
-                         .load(std::memory_order_acquire);
-    }
-    if (!applied.dominates(need)) {
-        // The needed flushes are still in flight; the locked path
-        // parks the request until they apply.
-        stats().optReadFallbacks++;
-        return false;
-    }
-
-    // Seqlock copy: all line versions even before the copy and
-    // unchanged after it, else a guarded flush application was
-    // mid-bracket — retry up to the budget, then fall back. The page
-    // bytes land directly in the wire buffer (no bounce copy); the
-    // version footer region is back-filled once the copy validates.
-    applied.encode(w);
-    w.putU32(epoch);
-    w.putU32(hs->numLines);
-    const std::size_t vers_off =
-        w.appendRegion(std::size_t{hs->numLines} * 4);
-    const std::size_t data_off = w.appendRegion(page_bytes);
-    // Reused across requests: this runs on the service thread only.
-    static thread_local std::vector<std::uint32_t> v1;
-    v1.resize(hs->numLines);
-    bool valid = false;
-    for (int attempt = 0; attempt <= optReadRetryBudget && !valid;
-         ++attempt) {
-        bool busy = false;
-        for (std::uint32_t l = 0; l < hs->numLines; ++l) {
-            v1[l] = hs->lineVersions[l].load(std::memory_order_acquire);
-            if ((v1[l] & 1u) != 0) {
-                busy = true;
-                break;
-            }
-        }
-        if (busy) {
-            stats().optReadRetries++;
-            continue;
-        }
-        optAtomicReadBytes(w.data() + data_off, src, page_bytes);
-        // Order the copy's relaxed loads before the re-read below:
-        // any line bumped during the copy must be seen as changed.
-        std::atomic_thread_fence(std::memory_order_acquire);
-        bool torn = false;
-        for (std::uint32_t l = 0; l < hs->numLines; ++l) {
-            if (hs->lineVersions[l].load(std::memory_order_acquire) !=
-                v1[l]) {
-                torn = true;
-                break;
-            }
-        }
-        if (torn) {
-            stats().optReadRetries++;
-            continue;
-        }
-        valid = true;
-    }
-    if (!valid) {
-        stats().optReadFallbacks++;
-        return false;
-    }
-
-    // Same little-endian raw layout putU32 writes element-wise.
-    std::memcpy(w.data() + vers_off, v1.data(),
-                std::size_t{hs->numLines} * 4);
-    stats().optReadsServed++;
-    ep->reply(origin, MsgType::HomePageSnapshotReply, w.take(), token);
-    return true;
 }
 
 void

@@ -135,6 +135,16 @@ class LrcRuntime : public Runtime
     void resolveCoveredNotices(PageId page, PageMeta &m);
 
     /**
+     * Single-thread nodes: a fetch must leave @p page with no pending
+     * notices (siblings on SMP nodes may race fresh ones in, and the
+     * caller retries). Otherwise abort, naming the leftover (proc, idx)
+     * notices, the copy's vector and the node's vector; @p fetch names
+     * the fetch in the message. Caller holds the node mutex.
+     */
+    void assertNoticesResolved(PageId page, const PageMeta &m,
+                               const char *fetch) const;
+
+    /**
      * Close the current interval: detect the modified pages (drop
      * twins into diffs, or fold dirty bits into word timestamps),
      * append the interval record, and advance vt[self]. No-op when
@@ -195,9 +205,8 @@ class LrcRuntime : public Runtime
                                  const std::vector<BatchPageReq> &fetched);
 
     /** Service an access miss on @p page (app thread; takes and
-     *  releases the protocol locks internally). @p read_only marks a
-     *  load-side miss, eligible for the optimistic snapshot path. */
-    void fetchPage(PageId page, bool read_only = false);
+     *  releases the protocol locks internally). */
+    void fetchPage(PageId page);
 
     /**
      * Fetch dispatch without the trap accounting, deduplicated across
@@ -206,18 +215,17 @@ class LrcRuntime : public Runtime
      * request rounds. Used by fetchPage and the pre-barrier GC
      * validation sweep.
      */
-    void fetchPageData(PageId page, bool read_only = false);
+    void fetchPageData(PageId page);
 
+    /** Homeless misses: one batched request per pending writer (see
+     *  snapshotBatchTargets), for diffs or timestamp runs. */
     void fetchDiffs(PageId page);
-    void fetchDiffsLegacy(PageId page);
     void fetchTimestamps(PageId page);
-    void fetchTimestampsLegacy(PageId page);
 
     /** Home mode: make @p page current with one request/reply against
      *  its home (or, at the home itself, by waiting for the in-flight
-     *  flushes the pending notices announce). Read-only misses may ask
-     *  for a lock-free version-validated snapshot (DSM_OPT_READ). */
-    void fetchFromHome(PageId page, bool read_only = false);
+     *  flushes the pending notices announce). */
+    void fetchFromHome(PageId page);
 
     /**
      * Install a full page copy from the wire (home-page reply or
@@ -229,7 +237,7 @@ class LrcRuntime : public Runtime
 
     /** Ensure @p page is present (fetch on access==None). Returns with
      *  the node mutex *released*. */
-    void ensurePresent(PageId page, bool read_only = false);
+    void ensurePresent(PageId page);
 
     // Wire helpers.
     static void encodeRecord(WireWriter &w, const IntervalRec &rec);
@@ -248,28 +256,13 @@ class LrcRuntime : public Runtime
     void applyDepart(BarrierId barrier, WireReader &r);
 
     // Access-miss servicing (service thread).
-    void handleDiffRequest(Message &msg);
     void handleDiffBatchRequest(Message &msg);
-    void handlePageTsRequest(Message &msg);
     void handlePageTsBatchRequest(Message &msg);
 
     // Home-based protocol (service thread; all take the node mutex).
     void handleHomeDiffFlush(Message &msg);
     void handleHomePageRequest(Message &msg);
     void handleHomeMigrate(Message &msg);
-
-    /**
-     * Optimistic read-only page service: answer a snapshot-eligible
-     * HomePageRequest without taking the home core lock. Runs on the
-     * service thread (the sole writer of the home mapping, so the
-     * isHome/epoch reads need no lock); copies the page under the
-     * per-line seqlock footer, retrying torn lines up to the
-     * configured budget. Returns true when a HomePageSnapshotReply
-     * was sent; false means the caller must fall back to the locked
-     * path.
-     */
-    bool tryServeSnapshot(NodeId origin, std::uint64_t token,
-                          PageId page, const VectorTime &need);
 
     /** Reply to a page request with the home's full copy (plus the
      *  records the origin lacks, per @p req_log). Mutex held. */
@@ -427,13 +420,6 @@ class LrcRuntime : public Runtime
 
     // Home-based state (unused in homeless mode).
     PageHomeTable homes;
-    /** Resolved DSM_OPT_READ: serve read-only misses from lock-free
-     *  version-validated snapshots (home mode only). */
-    bool optRead = false;
-    /** Retry budget shared by the server-side seqlock copy loop and
-     *  the client-side epoch-reject loop before falling back to the
-     *  locked path. */
-    int optReadRetryBudget = 3;
     /**
      * Homeless diff mode with gap coalescing on: piggyback this
      * node's written-page history on every lock request so the

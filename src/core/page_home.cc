@@ -6,14 +6,12 @@
 #include "mem/wide_scan.hh"
 #include "util/logging.hh"
 
-
 namespace dsm {
 
 std::uint64_t
 applyDiffGuarded(std::byte *dst, std::vector<std::uint64_t> &word_sums,
                  const Diff &diff, std::uint64_t vt_sum, NodeStats *stats,
-                 std::byte *shadow,
-                 std::atomic<std::uint32_t> *line_versions)
+                 std::byte *shadow)
 {
     std::uint64_t words_written = 0;
     for (const Diff::Run &run : diff.runs()) {
@@ -26,19 +24,6 @@ applyDiffGuarded(std::byte *dst, std::vector<std::uint64_t> &word_sums,
         DSM_ASSERT(run.offset % Diff::kWordBytes == 0 &&
                        first_word + nwords <= word_sums.size(),
                    "flush run outside the page");
-        // Seqlock write-side bracket: mark every line this run may
-        // touch odd before any data store, even again after the last —
-        // a concurrent lock-free snapshot that saw any of these lines
-        // mid-bracket (odd, or changed across its copy) retries. Lines
-        // whose words are all guard-skipped below are bumped anyway;
-        // that only costs a spurious retry, never a torn validation.
-        const std::uint32_t first_line = run.offset / kOptLineBytes;
-        const std::uint32_t last_line =
-            (run.offset + size - 1) / kOptLineBytes;
-        if (line_versions) {
-            for (std::uint32_t l = first_line; l <= last_line; ++l)
-                line_versions[l].fetch_add(1, std::memory_order_acq_rel);
-        }
         for (std::uint32_t k = 0; k < nwords; ++k) {
             const std::uint32_t word = first_word + k;
             if (vt_sum < word_sums[word])
@@ -57,23 +42,13 @@ applyDiffGuarded(std::byte *dst, std::vector<std::uint64_t> &word_sums,
                 // it survives into the next diff.
                 continue;
             }
-            if (line_versions) {
-                optAtomicWriteBytes(dst + run.offset + byte,
-                                    data.data() + byte, len);
-            } else {
-                std::memcpy(dst + run.offset + byte, data.data() + byte,
-                            len);
-            }
+            std::memcpy(dst + run.offset + byte, data.data() + byte, len);
             if (shadow) {
                 std::memcpy(shadow + run.offset + byte,
                             data.data() + byte, len);
             }
             word_sums[word] = vt_sum;
             ++words_written;
-        }
-        if (line_versions) {
-            for (std::uint32_t l = first_line; l <= last_line; ++l)
-                line_versions[l].fetch_add(1, std::memory_order_acq_rel);
         }
     }
     if (stats)
@@ -133,8 +108,6 @@ PageHomeTable::serialize(WireWriter &w) const
 void
 PageHomeTable::restoreFrom(WireReader &r)
 {
-    for (auto &slot : snapshotIndex)
-        slot.store(nullptr, std::memory_order_relaxed);
     overrides.clear();
     states.clear();
     const std::uint32_t noverrides = r.getU32();
@@ -160,11 +133,6 @@ PageHomeTable::restoreFrom(WireReader &r)
         hs.windowAccesses = r.getU32();
         hs.lastWriter = static_cast<int>(r.getI64());
         hs.writerSwitches = r.getU32();
-        // Version footers are deliberately not on the wire: rebuild
-        // them zeroed (all even — every line reads as quiescent) and
-        // republish the state for the lock-free snapshot path.
-        hs.sizeLineVersions(nsums);
-        publishState(page, &hs);
     }
 }
 

@@ -9,16 +9,17 @@
  * of the paper's twinning implementations), and three kernels emit
  * byte-identical word runs:
  *
- *  - Scalar: the seed per-word memcmp loop (ablation baseline).
+ *  - Scalar: the seed per-word memcmp loop (the reference kernel the
+ *            tests and bench_micro_diff compare the others against).
  *  - Wide:   memcmp-chunked clean skipping + 64-bit loads (PR 1).
  *  - Simd:   explicit AVX2 (x86-64) / NEON (aarch64) compares, 8 words
  *            per vector step, accelerating both clean skipping and —
  *            unlike Wide — the dense-page findSameWord walk.
  *
  * Kernel selection is a runtime decision: bestScanKernel() probes the
- * CPU once and honours two env pins — DSM_SIMD=0 selects the Wide
- * fallback, DSM_WIDE_SCAN=0 the seed Scalar loop — so ctest legs can
- * prove each fallback tier process-wide. The Simd entry points fall
+ * CPU once and honours one env pin — DSM_SIMD=0 selects the Wide
+ * fallback, the only path on CPUs without AVX2/NEON — so a ctest leg
+ * can prove that tier process-wide. The Simd entry points fall
  * back to Wide internally on CPUs without the required extensions, so
  * requesting Simd is always safe. Build-side, the CMake option
  * DSM_MARCH adds architecture flags (e.g. -march=native); the AVX2
@@ -142,14 +143,6 @@ findSameWord(const std::byte *cur, const std::byte *twin,
     while (w < words && scanWordDiffers(cur, twin, w))
         ++w;
     return w;
-}
-
-/** Kernel for a configuration's wideDiffScan ablation flag: the seed
- *  scalar loop when disabled, the best available kernel otherwise. */
-inline ScanKernel
-scanKernelFor(bool wide_diff_scan)
-{
-    return wide_diff_scan ? bestScanKernel() : ScanKernel::Scalar;
 }
 
 /** Callback trampoline used by the out-of-line SIMD run scan. */

@@ -7,7 +7,7 @@
  * expired peer's inbox to PeerDown on the Network — automatically,
  * where PR 6 could only do it under test-harness control.
  *
- * State machine per peer (DESIGN.md §7):
+ * State machine per peer (DESIGN.md §6):
  *
  *   healthy --deadline missed--> down --fresh stamp--> recovering
  *      ^                                                   |

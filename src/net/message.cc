@@ -12,10 +12,6 @@ toString(MsgType type)
       case MsgType::LockGrant: return "LockGrant";
       case MsgType::BarrierArrive: return "BarrierArrive";
       case MsgType::BarrierDepart: return "BarrierDepart";
-      case MsgType::DiffRequest: return "DiffRequest";
-      case MsgType::DiffReply: return "DiffReply";
-      case MsgType::PageTsRequest: return "PageTsRequest";
-      case MsgType::PageTsReply: return "PageTsReply";
       case MsgType::DiffBatchRequest: return "DiffBatchRequest";
       case MsgType::DiffBatchReply: return "DiffBatchReply";
       case MsgType::PageTsBatchRequest: return "PageTsBatchRequest";
@@ -23,8 +19,6 @@ toString(MsgType type)
       case MsgType::HomeDiffFlush: return "HomeDiffFlush";
       case MsgType::HomePageRequest: return "HomePageRequest";
       case MsgType::HomePageReply: return "HomePageReply";
-      case MsgType::HomePageSnapshotReply:
-        return "HomePageSnapshotReply";
       case MsgType::HomeMigrate: return "HomeMigrate";
       case MsgType::Shutdown: return "Shutdown";
       default: return "Unknown";

@@ -29,10 +29,6 @@ enum class MsgType : std::uint8_t
     BarrierDepart, ///< manager -> node (reply; LRC: interval records)
 
     // LRC access-miss servicing.
-    DiffRequest,   ///< faulting node -> writer
-    DiffReply,
-    PageTsRequest, ///< faulting node -> writer (timestamp collection)
-    PageTsReply,
     DiffBatchRequest, ///< faulting node -> writer: several pages' worth
                       ///< of missing intervals in one round trip
     DiffBatchReply,
@@ -44,10 +40,6 @@ enum class MsgType : std::uint8_t
     HomeDiffFlush,   ///< writer -> home: diffs of one closed interval
     HomePageRequest, ///< faulting node -> home (forwarded on stale maps)
     HomePageReply,   ///< home -> faulting node: full up-to-date copy
-    HomePageSnapshotReply, ///< home -> faulting node: lock-free
-                           ///< version-validated snapshot (migration
-                           ///< epoch + applied vector + version footer
-                           ///< + page copy; no piggybacked records)
     HomeMigrate,     ///< old home -> everyone: mapping update, plus the
                      ///< page copy + home state for the new home
 

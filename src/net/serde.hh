@@ -86,21 +86,7 @@ class WireWriter
 
     std::size_t size() const { return buf.size(); }
 
-    /**
-     * Grow the buffer by @p n uninitialized-content bytes and return
-     * the region's offset, to be filled in place through data().
-     * Growth invalidates pointers into the buffer, so producers that
-     * interleave appends address their regions by offset.
-     */
-    std::size_t
-    appendRegion(std::size_t n)
-    {
-        const std::size_t off = buf.size();
-        buf.resize(off + n);
-        return off;
-    }
-
-    /** Mutable view of the accumulated bytes (for appendRegion). */
+    /** The accumulated bytes. */
     std::byte *data() { return buf.data(); }
 
     /** Move the accumulated bytes out. */

@@ -10,7 +10,9 @@
  *  - the sharing-policy layer: migrate-to-last-writer follows an
  *    alternating writer chain, the ping-pong cap pins a pathologically
  *    migrating page, and the deferred-flush policy merges a run of
- *    interval closes into one HomeDiffFlush per home.
+ *    interval closes into one HomeDiffFlush per home;
+ *  - migration churn under a steady reader, and replies staying
+ *    ordered behind HomeMigrate broadcasts and forwarded lock grants.
  */
 
 #include <gtest/gtest.h>
@@ -315,6 +317,97 @@ TEST(HomeLrc, DeferredFlushesMergePerHome)
               eager.total.homeFlushesSent)
         << "merging must reduce flush messages";
     EXPECT_EQ(deferred.total.homeFlushesSent, 1u);
+}
+
+// ---------------------------------------------------------------------
+// Migration churn under a steady reader: an alternating writer pair
+// drives migrate-to-last-writer hand-offs while a reader misses on the
+// moving home every round. A deposed home's copy must never shadow the
+// current home's flushes.
+
+TEST(HomeLrc, MigrationChurnUnderConcurrentReads)
+{
+    constexpr int kInts = 256; // one page
+    constexpr int kRounds = 24;
+    ClusterConfig cc = homeConfig(3, 0);
+    cc.homeMigrateLastWriter = 1;
+    cc.homeWriterSwitchThreshold = 2;
+    cc.homePingPongLimit = 0; // unbounded: keep the home moving
+    Cluster cluster(cc);
+    RunResult result = cluster.run([&](Runtime &rt) {
+        auto a = SharedArray<int>::alloc(rt, kInts, 4, "churn");
+        const int self = rt.self();
+        rt.barrier(0);
+        for (int round = 0; round < kRounds; ++round) {
+            // Writers 0 and 1 alternate under the lock (the migratory
+            // pattern: each round switches the page's last writer).
+            const int writer = round % 2;
+            rt.acquire(7, AccessMode::Write);
+            if (self == writer) {
+                for (int i = 0; i < kInts; i += 4)
+                    a.set(i, round * 1000 + i);
+            }
+            rt.release(7);
+            rt.barrier(1 + 2 * round);
+            if (self == 2) {
+                rt.acquire(7, AccessMode::Read);
+                for (int i = 0; i < kInts; i += 16)
+                    ASSERT_EQ(a.get(i), round * 1000 + i)
+                        << "round " << round << " index " << i;
+                rt.release(7);
+            }
+            rt.barrier(2 + 2 * round);
+        }
+    });
+    EXPECT_GT(result.total.homeMigrations, 0u)
+        << "the churn never migrated a home — the test lost its point";
+}
+
+// ---------------------------------------------------------------------
+// Reply vs HomeMigrate/LockForward ordering: replies share the inbox
+// with every other message, so a reply can never overtake an earlier
+// non-reply message (migration broadcast, forwarded lock request)
+// from the same sender. This ordering regression maximizes the mix
+// that breaks if a reply ever skips the inbox: forwarded lock chains
+// (manager != owner), aggressive home migration, SMP nodes (several
+// parked callers per endpoint), and exact values throughout.
+
+TEST(HomeLrc, ReplyOrderingUnderMigrationAndForwarding)
+{
+    constexpr int kInts = 512;
+    constexpr int kRounds = 16;
+    for (int threads : {1, 2}) {
+        ClusterConfig cc = homeConfig(4, 2); // migrate eagerly
+        cc.threadsPerNode = threads;
+        Cluster cluster(cc);
+        cluster.run([&](Runtime &rt) {
+            auto a = SharedArray<int>::alloc(rt, kInts, 4, "order");
+            const int nw = rt.nworkers();
+            const int w = rt.worker();
+            const int chunk = kInts / nw;
+            rt.barrier(0);
+            for (int round = 0; round < kRounds; ++round) {
+                // Every worker bounces the same lock (manager node 0,
+                // owner rotating: every acquire is a LockForward
+                // chain) and rewrites its chunk; homes chase the
+                // writers through HomeMigrate broadcasts that must
+                // stay ordered ahead of later replies.
+                rt.acquire(9, AccessMode::Write);
+                for (int i = 0; i < chunk; ++i)
+                    a.set(w * chunk + i, round * 10000 + w * 100 + i);
+                rt.release(9);
+                rt.barrier(1 + 2 * round);
+                const int peer = (w + 1) % nw;
+                rt.acquire(9, AccessMode::Read);
+                for (int i = 0; i < chunk; i += 5)
+                    ASSERT_EQ(a.get(peer * chunk + i),
+                              round * 10000 + peer * 100 + i)
+                        << "threads " << threads << " round " << round;
+                rt.release(9);
+                rt.barrier(2 + 2 * round);
+            }
+        });
+    }
 }
 
 } // namespace

@@ -261,7 +261,7 @@ TEST_F(EndpointTest, DuplicateReplyDeliveredOnce)
     }
     // Fence: a single-reply call returns only after every earlier
     // reply from node 1, duplicates included, was dispatched.
-    (void)eps[0]->call(1, MsgType::DiffRequest, {});
+    (void)eps[0]->call(1, MsgType::DiffBatchRequest, {});
     EXPECT_EQ(stats[0].messagesReceived, 2u * kRounds + 1);
     EXPECT_EQ(stats[1].messagesSent, 2u * kRounds + 1);
 }

@@ -48,10 +48,6 @@ struct ProtocolLeg
     int fairness = 0;
     bool lastWriter = false;
     bool deferFlush = false;
-    /** Optimistic lock-free home reads (DSM_OPT_READ): snapshots must
-     *  be invisible in the final state — bit-identical to every other
-     *  leg — including while homes migrate under the reads. */
-    bool optRead = false;
     /** Blocking-dequeue leg: -1 keeps the env sentinel (so the
      *  DSM_BLOCKING_DEQ CI sweep flips the whole grid), 0/1 forces
      *  the knob for this leg. It changes only where wall-clock goes —
@@ -77,22 +73,14 @@ const ProtocolLeg kLegs[] = {
     {"LRC_home_lastwriter", "LRC-diff", true, true, 0, true},
     {"LRC_home_defer", "LRC-diff", true, true, 0, false, true},
     {"LRC_home_allpolicies", "LRC-diff", true, true, 4, true, true},
-    // Optimistic-read legs (PR 7): the version-validated snapshot
-    // fast path alone, and combined with the migration-heavy
-    // last-writer policy (epoch rejects + migration races).
-    {"LRC_home_optread", "LRC-diff", true, true, 0, false, false, true},
-    {"LRC_home_optread_migrate", "LRC-diff", true, true, 0, true, false,
-     true},
     // Latency-path legs. Blocking dequeue and adaptive fairness
     // default off, so each gets a forced-on leg.
-    {"EC_blockingdeq", "EC-diff", false, true, 0, false, false, false,
-     1},
-    {"LRC_home_blockingdeq", "LRC-diff", true, true, 0, false, false,
-     false, 1},
-    {"EC_fair_adaptive", "EC-diff", false, true, 4, false, false, false,
-     -1, true},
-    {"LRC_home_latency_all", "LRC-diff", true, true, 4, true, true,
-     true, 1, true},
+    {"EC_blockingdeq", "EC-diff", false, true, 0, false, false, 1},
+    {"LRC_home_blockingdeq", "LRC-diff", true, true, 0, false, false, 1},
+    {"EC_fair_adaptive", "EC-diff", false, true, 4, false, false, -1,
+     true},
+    {"LRC_home_latency_all", "LRC-diff", true, true, 4, true, true, 1,
+     true},
 };
 
 struct KernelCase
@@ -121,10 +109,6 @@ runLeg(const ProtocolLeg &leg, const KernelCase &kc)
     cc.lockLocalHandoffBound = leg.fairness;
     cc.homeMigrateLastWriter = leg.lastWriter ? 1 : 0;
     cc.homeFlushDefer = leg.deferFlush ? 1 : 0;
-    // Force-on for the optread legs; everything else keeps the -1
-    // sentinel so a DSM_OPT_READ=1 CI sweep turns the whole grid on.
-    if (leg.optRead)
-        cc.optimisticHomeReads = 1;
     cc.blockingDequeue = leg.blockingDeq;
     if (leg.adaptFair)
         cc.lockFairnessAdaptive = 1;

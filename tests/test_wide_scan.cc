@@ -251,17 +251,14 @@ TEST(WideScan, DiffCreateIdenticalAcrossKernels)
 
 TEST(WideScan, DispatchReportsKernel)
 {
-    // bestScanKernel honours the env pins (the CI fallback legs) and
-    // otherwise never hands out Scalar.
+    // bestScanKernel honours the DSM_SIMD=0 pin (the CI fallback leg)
+    // and never hands out Scalar, the reference kernel.
     const ScanKernel best = bestScanKernel();
-    const char *wide_env = std::getenv("DSM_WIDE_SCAN");
     const char *simd_env = std::getenv("DSM_SIMD");
-    if (wide_env && std::atoi(wide_env) == 0)
-        EXPECT_EQ(best, ScanKernel::Scalar);
-    else if (simd_env && std::atoi(simd_env) == 0)
+    if (simd_env && std::atoi(simd_env) == 0) {
         EXPECT_EQ(best, ScanKernel::Wide);
-    else
-        EXPECT_NE(best, ScanKernel::Scalar);
+    }
+    EXPECT_NE(best, ScanKernel::Scalar);
     EXPECT_STREQ(toString(ScanKernel::Scalar), "scalar");
     EXPECT_STREQ(toString(ScanKernel::Wide), "wide");
     EXPECT_STREQ(toString(ScanKernel::Simd), "simd");
