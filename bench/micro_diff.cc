@@ -7,8 +7,9 @@
  * plus the effect of run coalescing (gapWords) on wire bytes.
  *
  * An informational, ungated round-trip scenario times one diff through
- * the homeless fetch path — create, encode into a reply, zero-copy
- * decode against the shared reply buffer, apply — at the sparse_64w
+ * the homeless fetch path on the in-process tier — create, take its
+ * image (what a batch reply carries by reference), wrap it back with
+ * Diff::fromImage (which checks every run), apply — at the sparse_64w
  * and dense_1024w shapes.
  *
  * Emits BENCH_diff.json (tracked in the repo) so the diff-creation
@@ -22,7 +23,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -128,7 +128,7 @@ throughput(const std::byte *cur, const std::byte *twin, DiffScan scan,
     return iters / secs;
 }
 
-/** Pages/second for create -> encode -> zero-copy decode -> apply. */
+/** Pages/second for create -> image -> fromImage -> apply. */
 double
 roundTripThroughput(const std::byte *cur, const std::byte *twin, int iters)
 {
@@ -136,12 +136,7 @@ roundTripThroughput(const std::byte *cur, const std::byte *twin, int iters)
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < iters; ++i) {
         const Diff d = Diff::create(cur, twin, kPageBytes);
-        WireWriter w(d.wireBytes());
-        d.encode(w);
-        const std::shared_ptr<const std::vector<std::byte>> reply =
-            std::make_shared<std::vector<std::byte>>(w.take());
-        WireReader r(*reply);
-        Diff::decode(r, reply).apply(dst.data());
+        Diff::fromImage(d.image()).apply(dst.data());
     }
     const auto end = std::chrono::steady_clock::now();
     if (std::memcmp(dst.data(), cur, kPageBytes) != 0) {
@@ -244,8 +239,7 @@ main()
     json += "\n  ],\n";
 
     // Informational: not read by tools/bench_gate.py.
-    std::printf("\n%-16s %11s  (create -> encode -> zero-copy decode "
-                "-> apply)\n",
+    std::printf("\n%-16s %11s  (create -> image -> fromImage -> apply)\n",
                 "round trip", "pg/s");
     json += "  \"roundtrip\": [\n";
     first = true;

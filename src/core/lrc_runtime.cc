@@ -186,8 +186,7 @@ LrcRuntime::closeInterval()
     // for its page so the home can apply one writer's flushes in
     // order even when forwarding chains reorder their arrival.
     std::map<NodeId, std::vector<PendingFlush>> flushes;
-    std::vector<std::pair<std::pair<PageId, std::uint64_t>, DiffEntry>>
-        store;
+    std::vector<std::pair<PageId, Diff>> store;
     std::unique_lock<std::mutex> hg(nl->home, std::defer_lock);
     if (homeMode())
         hg.lock();
@@ -264,9 +263,7 @@ LrcRuntime::closeInterval()
                                               arena->pageSize()),
                                           &stats(), scan);
                     if (!homeMode()) {
-                        store.emplace_back(
-                            std::make_pair(p, packTs(id, idx)),
-                            DiffEntry{std::move(d), vt_sum});
+                        store.emplace_back(p, std::move(d));
                     } else {
                         flushes[homes.homeOf(p)].push_back(
                             {p, idx, prev_idx, vt_sum, std::move(d)});
@@ -325,8 +322,8 @@ LrcRuntime::closeInterval()
         hg.unlock();
     if (!store.empty()) {
         std::lock_guard<std::mutex> dg(nl->diff);
-        for (auto &[key, entry] : store)
-            diffStore[key] = std::move(entry);
+        for (auto &[p, d] : store)
+            diffStore.put(p, id, idx, vt_sum, std::move(d));
     }
 
     // Eager flush to the homes (legacy default), one message per
@@ -759,18 +756,8 @@ LrcRuntime::applyDepart(BarrierId, WireReader &r)
     if (pruned > 0) {
         stats().gcRecordsReclaimed += pruned;
         stats().gcRounds++;
-        std::uint64_t diffs_pruned = 0;
         std::lock_guard<std::mutex> dg(nl->diff);
-        for (auto it = diffStore.begin(); it != diffStore.end();) {
-            const std::uint64_t key = it->first.second;
-            if (tsInterval(key) <= gc_vt[tsProc(key)]) {
-                it = diffStore.erase(it);
-                ++diffs_pruned;
-            } else {
-                ++it;
-            }
-        }
-        stats().gcDiffsReclaimed += diffs_pruned;
+        stats().gcDiffsReclaimed += diffStore.pruneThrough(gc_vt);
     }
 }
 
@@ -1079,27 +1066,32 @@ LrcRuntime::fetchDiffs(PageId page)
         }
         stats().diffRequestsSent++;
         Message reply = ep->call(q, MsgType::DiffBatchRequest, w.take());
-        // The diffs view their images in place in the reply; the
-        // stored ones keep it alive until GC prunes them.
-        const std::shared_ptr<const std::vector<std::byte>> payload =
-            std::make_shared<std::vector<std::byte>>(
-                std::move(reply.payload));
-        WireReader r(*payload);
+        // The payload carries one header per diff; the diffs themselves
+        // arrive as images, in header order, and the stored ones share
+        // them until GC prunes them.
+        std::size_t next_image = 0;
+        WireReader r(reply.payload);
         const std::uint32_t npages = r.getU32();
         for (std::uint32_t i = 0; i < npages; ++i) {
             const PageId p = r.getU32();
             const std::uint32_t n = r.getU32();
             for (std::uint32_t j = 0; j < n; ++j) {
+                DSM_ASSERT(next_image < reply.images.size(),
+                           "diff batch reply lacks an image");
                 FetchedDiff f;
                 f.page = p;
                 f.proc = static_cast<NodeId>(r.getU16());
                 f.idx = r.getU32();
                 f.vtSum = r.getU64();
-                f.diff = Diff::decode(r, payload);
+                f.diff = Diff::fromImage(reply.images[next_image++]);
                 fetched.push_back(std::move(f));
             }
         }
+        DSM_ASSERT(next_image == reply.images.size(),
+                   "diff batch reply carries %zu unclaimed images",
+                   reply.images.size() - next_image);
         decodePiggybackedRecords(r, precs);
+        BufferPool::instance().release(std::move(reply.payload));
     }
 
     // Apply in a linear extension of happens-before (sum order), with
@@ -1156,8 +1148,8 @@ LrcRuntime::fetchDiffs(PageId page)
         std::lock_guard<std::mutex> dg(nl->diff);
         for (FetchedDiff &f : fetched) {
             if (f.applied) {
-                diffStore[{f.page, packTs(f.proc, f.idx)}] = {
-                    std::move(f.diff), f.vtSum};
+                diffStore.put(f.page, f.proc, f.idx, f.vtSum,
+                              std::move(f.diff));
             }
         }
     }
@@ -1519,35 +1511,6 @@ LrcRuntime::handleMessage(Message &msg)
     }
 }
 
-std::uint64_t
-LrcRuntime::collectDiffsNewerThan(PageId page, const VectorTime &req_vt,
-                                  std::vector<OutgoingDiff> &out) const
-{
-    std::uint64_t bytes = 4; // count prefix
-    for (auto it = diffStore.lower_bound({page, 0});
-         it != diffStore.end() && it->first.first == page; ++it) {
-        const std::uint64_t key = it->first.second;
-        if (tsInterval(key) > req_vt[tsProc(key)]) {
-            out.push_back({key, it->second.vtSum, it->second.diff});
-            bytes += kOutgoingDiffHeaderBytes + it->second.diff.wireBytes();
-        }
-    }
-    return bytes;
-}
-
-void
-LrcRuntime::encodeDiffs(WireWriter &w, std::span<const OutgoingDiff> diffs)
-{
-    w.putU32(static_cast<std::uint32_t>(diffs.size()));
-    for (const OutgoingDiff &d : diffs) {
-        w.putU16(static_cast<std::uint16_t>(tsProc(d.key)));
-        w.putU32(tsInterval(d.key));
-        w.putU64(d.vtSum);
-        d.diff.encode(w);
-        stats().diffBytesSent += d.diff.wireBytes();
-    }
-}
-
 void
 LrcRuntime::handleDiffBatchRequest(Message &msg)
 {
@@ -1555,38 +1518,27 @@ LrcRuntime::handleDiffBatchRequest(Message &msg)
     VectorTime req_log = VectorTime::decode(r);
     const std::uint32_t npages = r.getU32();
 
-    // Snapshot every page's outgoing diffs under the store lock, one
-    // map walk per page; the shared images are immutable, so they are
-    // encoded after the lock is dropped, into a buffer sized exactly.
-    std::vector<PageId> pages(npages);
-    std::vector<std::size_t> ends(npages);
-    std::vector<OutgoingDiff> send;
-    std::uint64_t bytes = 4; // page count
+    // Per page, the headers of the stored diffs newer than the
+    // requester's copy go into the payload, and the diffs' images are
+    // attached by reference: nothing is copied, and the index makes
+    // each page's lookup a suffix scan per writer.
+    WireWriter w;
+    std::vector<Image> images;
+    std::uint64_t image_bytes = 0;
+    w.putU32(npages);
     {
         std::lock_guard<std::mutex> dg(nl->diff);
         for (std::uint32_t i = 0; i < npages; ++i) {
-            pages[i] = r.getU32();
-            VectorTime req_vt = VectorTime::decode(r);
-            bytes += 4 + collectDiffsNewerThan(pages[i], req_vt, send);
-            ends[i] = send.size();
+            const PageId page = r.getU32();
+            const VectorTime req_vt = VectorTime::decode(r);
+            w.putU32(page);
+            image_bytes += diffStore.encodeNewer(page, req_vt, w, images);
         }
     }
-    WireWriter recs;
-    encodePiggybackedRecords(recs, req_log);
-
-    WireWriter w(bytes + recs.size());
-    w.putU32(npages);
-    const std::span<const OutgoingDiff> all(send);
-    for (std::uint32_t i = 0; i < npages; ++i) {
-        const std::size_t begin = i == 0 ? 0 : ends[i - 1];
-        w.putU32(pages[i]);
-        encodeDiffs(w, all.subspan(begin, ends[i] - begin));
-    }
-    w.putBytes(recs.data(), recs.size());
-    DSM_ASSERT(w.size() == bytes + recs.size(),
-               "diff batch reply size mismatch");
-    ep->reply(msg.src, MsgType::DiffBatchReply, w.take(),
-              msg.replyToken);
+    stats().diffBytesSent += image_bytes;
+    encodePiggybackedRecords(w, req_log);
+    ep->reply(msg.src, MsgType::DiffBatchReply, w.take(), msg.replyToken,
+              std::move(images));
 }
 
 void
@@ -2144,13 +2096,7 @@ LrcRuntime::serialize(WireWriter &w) const
     // confined to the blob's tail.
     homes.serialize(w);
     ilog.serialize(w);
-    w.putU32(static_cast<std::uint32_t>(diffStore.size()));
-    for (const auto &[key, entry] : diffStore) {
-        w.putU32(key.first);
-        w.putU64(key.second);
-        entry.diff.encode(w);
-        w.putU64(entry.vtSum);
-    }
+    diffStore.serialize(w);
     w.putU32(static_cast<std::uint32_t>(pageMeta.size()));
     for (const auto &[page, m] : pageMeta) {
         w.putU32(page);
@@ -2229,15 +2175,7 @@ LrcRuntime::restoreFrom(WireReader &r)
     vt = VectorTime::decode(r);
     homes.restoreFrom(r);
     ilog.restoreFrom(r);
-    diffStore.clear();
-    const std::uint32_t ndiffs = r.getU32();
-    for (std::uint32_t i = 0; i < ndiffs; ++i) {
-        const PageId page = r.getU32();
-        const std::uint64_t key = r.getU64();
-        DiffEntry &entry = diffStore[{page, key}];
-        entry.diff = Diff::decode(r);
-        entry.vtSum = r.getU64();
-    }
+    diffStore.restoreFrom(r);
     pageMeta.clear();
     invalidPages.clear();
     const std::uint32_t nmeta = r.getU32();

@@ -36,9 +36,9 @@
 #include <condition_variable>
 #include <map>
 #include <set>
-#include <span>
 #include <unordered_map>
 
+#include "core/diff_index.hh"
 #include "core/interval_log.hh"
 #include "core/page_home.hh"
 #include "core/runtime.hh"
@@ -316,29 +316,6 @@ class LrcRuntime : public Runtime
     /** Hand @p page's home role to @p new_home. Mutex held. */
     void migrateHome(PageId page, NodeId new_home);
 
-    /** A stored diff picked for a reply; shares the stored image. */
-    struct OutgoingDiff
-    {
-        std::uint64_t key = 0; ///< packTs(proc, idx)
-        std::uint64_t vtSum = 0;
-        Diff diff;
-    };
-
-    /** Per-diff tuple header on the wire: proc, idx, vtSum. */
-    static constexpr std::uint64_t kOutgoingDiffHeaderBytes = 2 + 4 + 8;
-
-    /** Append every stored diff of @p page newer than @p req_vt to
-     *  @p out and return the bytes encodeDiffs() will write for them.
-     *  Caller holds the diff-store lock. */
-    std::uint64_t collectDiffsNewerThan(PageId page,
-                                        const VectorTime &req_vt,
-                                        std::vector<OutgoingDiff> &out)
-        const;
-
-    /** Encode @p diffs as one count prefix plus (proc, idx, vtSum,
-     *  diff) tuples. */
-    void encodeDiffs(WireWriter &w, std::span<const OutgoingDiff> diffs);
-
     /** Encode the timestamp runs of @p page newer than the requester's
      *  page copy @p req_vt, capped at its global vector @p req_global
      *  (the page vector prefix plus counted runs). */
@@ -355,14 +332,6 @@ class LrcRuntime : public Runtime
     {
         return cluster->runtime.collect == CollectMethod::Diffing;
     }
-
-    /** A stored diff plus the sum of its interval's vector (used to
-     *  order application without requiring the interval record). */
-    struct DiffEntry
-    {
-        Diff diff;
-        std::uint64_t vtSum = 0;
-    };
 
     /**
      * Snapshot @p page's pending writers into @p responders, and into
@@ -397,7 +366,7 @@ class LrcRuntime : public Runtime
 
     VectorTime vt;  ///< vt[self] = last closed
     IntervalLog ilog;
-    std::map<std::pair<PageId, std::uint64_t>, DiffEntry> diffStore;
+    DiffIndex diffStore; ///< guarded by nl->diff
     std::unordered_map<PageId, PageMeta> pageMeta;
     /**
      * Exactly the pages with pending notices (invariant:

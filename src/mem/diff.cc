@@ -107,7 +107,7 @@ Diff::create(const std::byte *cur, const std::byte *twin, std::uint32_t len,
     Diff d;
     d.imageLen = kHeaderBytes + spans.size() * kRunHeaderBytes + data_bytes;
     std::byte *p = nullptr;
-    d.image = allocImage(d.imageLen, p);
+    d.storage = allocImage(d.imageLen, p);
     storeU32(p, len);
     storeU32(p + 4, static_cast<std::uint32_t>(spans.size()));
     p += kHeaderBytes;
@@ -147,22 +147,32 @@ Diff::decode(WireReader &r)
     Diff d;
     d.imageLen = src.size();
     std::byte *p = nullptr;
-    d.image = allocImage(src.size(), p);
+    d.storage = allocImage(src.size(), p);
     std::memcpy(p, src.data(), src.size());
     return d;
 }
 
-Diff
-Diff::decode(WireReader &r,
-             const std::shared_ptr<const std::vector<std::byte>> &owner)
+Image
+Diff::image() const
 {
-    const std::span<const std::byte> src = scanImage(r);
-    DSM_ASSERT(src.data() >= owner->data() &&
-                   src.data() + src.size() <= owner->data() + owner->size(),
-               "zero-copy diff decoded outside its owner");
+    if (storage)
+        return {storage, imageLen};
+    // The empty diff's static image, held by no owner.
+    return {std::shared_ptr<const std::byte>(std::shared_ptr<void>(),
+                                             kEmptyImage),
+            imageLen};
+}
+
+Diff
+Diff::fromImage(const Image &img)
+{
+    WireReader r(img.bytes());
+    scanImage(r);
+    DSM_ASSERT(r.done(), "diff image has %zu trailing bytes",
+               r.remaining());
     Diff d;
-    d.imageLen = src.size();
-    d.image = std::shared_ptr<const std::byte>(owner, src.data());
+    d.imageLen = img.size;
+    d.storage = img.data;
     return d;
 }
 

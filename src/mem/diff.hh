@@ -13,15 +13,19 @@
  * so encode() is a single copy of the image, wireBytes() is its size,
  * and apply() walks it in place. Copying a Diff shares the image.
  *
- * Ownership: Diff::create and the plain Diff::decode(r) allocate the
- * image (one allocation of exact size). The zero-copy
- * Diff::decode(r, owner) instead returns a slice of a received payload
- * and holds @p owner, so the payload lives as long as any diff decoded
- * from it — the homeless fetch path stores such diffs, and the reply
- * buffer is freed when GC prunes the last of them. Both decodes check
- * every run against the area length ("diff run out of bounds") and
- * against the remaining payload ("wire underrun") before returning, so
- * a decoded image is always safe to walk.
+ * Ownership: Diff::create and Diff::decode(r) (home flushes, EC,
+ * checkpoint restore) allocate the image, one allocation of exact
+ * size. image() hands the image out as a net Image without copying it,
+ * and Diff::fromImage wraps a received Image the same way. The
+ * homeless fetch path uses the pair: a responder attaches its stored
+ * diffs' images to the batch reply, and on the in-process tier the
+ * fetcher's stored diff shares the creator's allocation; on the socket
+ * tier it shares the receiving frame's image buffer. Either way the
+ * bytes live as long as any diff viewing them, normally until GC
+ * prunes the last one. Both decode(r) and fromImage check every run
+ * against the area length ("diff run out of bounds") and against the
+ * bytes at hand ("wire underrun") before returning, so a received
+ * image is always safe to walk.
  */
 
 #ifndef DSM_MEM_DIFF_HH
@@ -200,13 +204,13 @@ class Diff
     /** Decode a diff into a private copy of its image. */
     static Diff decode(WireReader &r);
 
-    /**
-     * Zero-copy decode: the diff views its image in place inside
-     * @p owner, which @p r must be reading, and keeps @p owner alive.
-     */
-    static Diff
-    decode(WireReader &r,
-           const std::shared_ptr<const std::vector<std::byte>> &owner);
+    /** The image itself, shared rather than copied: the reference a
+     *  message carries out of line. */
+    Image image() const;
+
+    /** Wrap the received @p img, which must hold exactly one diff
+     *  image; the diff shares @p img's bytes. */
+    static Diff fromImage(const Image &img);
 
     /** Equal images (same area length, runs and bytes). */
     bool operator==(const Diff &other) const;
@@ -225,10 +229,10 @@ class Diff
     const std::byte *
     bytes() const
     {
-        return image ? image.get() : kEmptyImage;
+        return storage ? storage.get() : kEmptyImage;
     }
 
-    std::shared_ptr<const std::byte> image; ///< null: kEmptyImage
+    std::shared_ptr<const std::byte> storage; ///< null: kEmptyImage
     std::uint64_t imageLen = kHeaderBytes;
 };
 

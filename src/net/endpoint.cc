@@ -126,7 +126,7 @@ Endpoint::send(NodeId dst, MsgType type, std::vector<std::byte> payload,
 
 void
 Endpoint::reply(NodeId dst, MsgType type, std::vector<std::byte> payload,
-                std::uint64_t reply_token)
+                std::uint64_t reply_token, std::vector<Image> images)
 {
     DSM_ASSERT(reply_token != 0, "reply without token");
     Message msg;
@@ -137,8 +137,9 @@ Endpoint::reply(NodeId dst, MsgType type, std::vector<std::byte> payload,
     msg.replyToken = reply_token;
     msg.vtSendNs = clock().now();
     msg.payload = std::move(payload);
+    msg.images = std::move(images);
     if (faultsOn)
-        recordReply(dst, type, msg.payload, reply_token);
+        recordReply(msg);
     net->send(std::move(msg), stats());
 }
 
@@ -414,6 +415,7 @@ Endpoint::dedupRequest(const Message &msg)
             re.vtSendNs = vclock.now();
             re.attempt = FaultInjector::kAttemptImmunity;
             re.payload = e.replyPayload;
+            re.images = e.replyImages;
             net->send(std::move(re), nodeStats);
         }
         // Not replied yet (parked at a barrier manager or lock queue,
@@ -421,25 +423,24 @@ Endpoint::dedupRequest(const Message &msg)
         // duplicate.
         return true;
     }
-    window.push_back({msg.replyToken, false, MsgType::Invalid, {}});
+    window.push_back({msg.replyToken, false, MsgType::Invalid, {}, {}});
     if (window.size() > kDedupWindow)
         window.pop_front();
     return false;
 }
 
 void
-Endpoint::recordReply(NodeId dst, MsgType type,
-                      const std::vector<std::byte> &payload,
-                      std::uint64_t token)
+Endpoint::recordReply(const Message &reply)
 {
-    if (token == 0 || !FaultInjector::droppable(type))
+    if (reply.replyToken == 0 || !FaultInjector::droppable(reply.type))
         return;
-    for (DedupEntry &e : dedup[dst]) {
-        if (e.token != token)
+    for (DedupEntry &e : dedup[reply.dst]) {
+        if (e.token != reply.replyToken)
             continue;
         e.replied = true;
-        e.replyType = type;
-        e.replyPayload = payload;
+        e.replyType = reply.type;
+        e.replyPayload = reply.payload;
+        e.replyImages = reply.images;
         return;
     }
     // No window entry: the request predates fault arming or was

@@ -81,9 +81,10 @@ class Endpoint
     void send(NodeId dst, MsgType type, std::vector<std::byte> payload,
               std::uint64_t reply_token = 0);
 
-    /** Send a reply to a previously received request token. */
+    /** Send a reply to a previously received request token, with
+     *  @p images carried out of line after the payload. */
     void reply(NodeId dst, MsgType type, std::vector<std::byte> payload,
-               std::uint64_t reply_token);
+               std::uint64_t reply_token, std::vector<Image> images = {});
 
     /**
      * Blocking remote procedure call: sends a tokened request and
@@ -246,6 +247,7 @@ class Endpoint
         bool replied = false;
         MsgType replyType = MsgType::Invalid;
         std::vector<std::byte> replyPayload;
+        std::vector<Image> replyImages; ///< shared, not copied
     };
 
     void serviceLoop();
@@ -266,10 +268,9 @@ class Endpoint
      *  seen (duplicate handled here, caller must skip dispatch). */
     bool dedupRequest(const Message &msg);
 
-    /** Record the payload of a droppable reply for duplicate resend. */
-    void recordReply(NodeId dst, MsgType type,
-                     const std::vector<std::byte> &payload,
-                     std::uint64_t token);
+    /** Record the payload and images of a droppable reply for
+     *  duplicate resend. */
+    void recordReply(const Message &reply);
 
     Transport *net; ///< never null; rebindable pre-start (post-fork)
     NodeId id;

@@ -1,6 +1,7 @@
 #include "net/frame.hh"
 
 #include <cstring>
+#include <memory>
 
 #include "net/serde.hh"
 #include "util/logging.hh"
@@ -22,12 +23,60 @@ sealFrame(WireWriter &w)
     return w.take();
 }
 
+/**
+ * Decode a Data frame's image section (u32 count, then u32 length and
+ * bytes per image) from the rest of @p r into @p out: every length is
+ * checked against the frame before anything is allocated, then all
+ * images are copied into one buffer and sliced. False = malformed.
+ */
+bool
+decodeImages(WireReader &r, std::vector<Image> &out)
+{
+    if (r.remaining() < sizeof(std::uint32_t))
+        return false;
+    const std::uint32_t n = r.getU32();
+    if (n == 0)
+        return r.done();
+    if (n > r.remaining() / sizeof(std::uint32_t))
+        return false;
+    WireReader scan = r;
+    std::size_t total = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        if (scan.remaining() < sizeof(std::uint32_t))
+            return false;
+        const std::uint32_t len = scan.getU32();
+        if (len > scan.remaining())
+            return false;
+        scan.skip(len);
+        total += len;
+    }
+    if (!scan.done())
+        return false;
+
+    const std::shared_ptr<std::byte[]> buf =
+        std::make_shared_for_overwrite<std::byte[]>(total);
+    std::byte *p = buf.get();
+    out.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const std::uint32_t len = r.getU32();
+        r.getBytes(p, len);
+        out.push_back({std::shared_ptr<const std::byte>(buf, p), len});
+        p += len;
+    }
+    return true;
+}
+
 } // namespace
 
 std::vector<std::byte>
 encodeDataFrame(const Message &msg)
 {
-    WireWriter w;
+    std::size_t image_bytes = 0;
+    for (const Image &img : msg.images)
+        image_bytes += sizeof(std::uint32_t) + img.size;
+    WireWriter w(sizeof(std::uint32_t) + 1 + 2 * sizeof(NodeId) + 3 +
+                 3 * sizeof(std::uint64_t) + 2 * sizeof(std::uint32_t) +
+                 msg.payload.size() + image_bytes);
     w.putU32(0); // length prefix, patched by sealFrame
     w.putU8(static_cast<std::uint8_t>(FrameKind::Data));
     w.putPod(msg.src);
@@ -38,7 +87,13 @@ encodeDataFrame(const Message &msg)
     w.putU64(msg.replyToken);
     w.putU64(msg.vtSendNs);
     w.putU64(msg.vtArriveNs);
+    w.putU32(static_cast<std::uint32_t>(msg.payload.size()));
     w.putBytes(msg.payload.data(), msg.payload.size());
+    w.putU32(static_cast<std::uint32_t>(msg.images.size()));
+    for (const Image &img : msg.images) {
+        w.putU32(static_cast<std::uint32_t>(img.size));
+        w.putBytes(img.data.get(), img.size);
+    }
     return sealFrame(w);
 }
 
@@ -121,7 +176,8 @@ FrameDecoder::next(Frame &out)
     }
     case FrameKind::Data: {
         constexpr std::size_t header = 2 * sizeof(NodeId) + 3 +
-                                       3 * sizeof(std::uint64_t);
+                                       3 * sizeof(std::uint64_t) +
+                                       sizeof(std::uint32_t);
         if (r.remaining() < header) {
             poisonedFlag = true;
             return false;
@@ -135,11 +191,16 @@ FrameDecoder::next(Frame &out)
         m.replyToken = r.getU64();
         m.vtSendNs = r.getU64();
         m.vtArriveNs = r.getU64();
-        m.payload.resize(r.remaining());
-        if (!m.payload.empty())
-            r.getBytes(m.payload.data(), m.payload.size());
-        if (m.type == MsgType::Invalid ||
-            m.type >= MsgType::NumTypes) {
+        const std::uint32_t payload_len = r.getU32();
+        if (m.type == MsgType::Invalid || m.type >= MsgType::NumTypes ||
+            payload_len > r.remaining()) {
+            poisonedFlag = true;
+            return false;
+        }
+        m.payload.resize(payload_len);
+        if (payload_len > 0)
+            r.getBytes(m.payload.data(), payload_len);
+        if (!decodeImages(r, m.images)) {
             poisonedFlag = true;
             return false;
         }

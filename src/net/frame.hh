@@ -13,11 +13,14 @@
  *             identifies the peer and rejects cross-run or cross-size
  *             mismatches at accept time.
  *  - Data:    the Message header fields that travel (src, dst, type,
- *             isReply, attempt, replyToken, vtSendNs, vtArriveNs)
- *             followed by the raw payload bytes. pairSeq deliberately
- *             does NOT travel: it is simulation metadata assigned by
- *             the receiver's local inbox at push time, exactly as
- *             on the in-process tier.
+ *             isReply, attempt, replyToken, vtSendNs, vtArriveNs),
+ *             then u32 payload length and the payload bytes, then
+ *             u32 image count and, per image, u32 length and its
+ *             bytes (Message::images). The decoder copies all images
+ *             of a frame into one buffer and returns them as slices
+ *             of it. pairSeq deliberately does NOT travel: it is
+ *             simulation metadata assigned by the receiver's local
+ *             inbox at push time, exactly as on the in-process tier.
  *  - Goodbye: i32 sender node id, u8 round. The two-round termination
  *             rendezvous of the process-per-node launcher: round 1 =
  *             "my workers joined" (no new request chains can start),
@@ -29,9 +32,9 @@
  * The decoder is incremental: feed() accepts arbitrary chunkings of
  * the stream (partial length prefixes, frames split at any byte,
  * multiple frames per read) and next() yields complete frames in
- * order. A length prefix above kMaxFrameBytes poisons the decoder —
- * the connection carries garbage and must be torn down, never
- * allocated for.
+ * order. A length prefix above kMaxFrameBytes, or a payload or image
+ * length that overruns its frame, poisons the decoder — the connection
+ * carries garbage and must be torn down, never allocated for.
  */
 
 #ifndef DSM_NET_FRAME_HH
@@ -58,7 +61,7 @@ enum class FrameKind : std::uint8_t
 constexpr std::uint32_t kFrameMagic = 0x314d5344;
 
 /** Framing protocol version; bumped on any layout change. */
-constexpr std::uint16_t kFrameVersion = 1;
+constexpr std::uint16_t kFrameVersion = 2;
 
 /** Hard ceiling on one frame's post-prefix length. Generously above
  *  any legitimate message (pages are KBs, batched replies MBs) while

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "net/serde.hh"
 #include "util/types.hh"
 
 namespace dsm {
@@ -53,9 +54,12 @@ enum class MsgType : std::uint8_t
 const char *toString(MsgType type);
 
 /**
- * A network message. Fixed header plus opaque payload. The header
- * size approximates the AAL3/4 + protocol header overhead and is
- * charged on the wire.
+ * A network message. Fixed header, opaque payload and zero or more
+ * out-of-line images. The header size approximates the AAL3/4 +
+ * protocol header overhead and is charged on the wire; an image is
+ * charged like payload bytes, since on the modeled wire it follows the
+ * payload. Only the in-process hand-off differs: images are shared by
+ * reference, not copied.
  */
 struct Message
 {
@@ -85,12 +89,22 @@ struct Message
      */
     std::uint8_t attempt = 0;
     std::vector<std::byte> payload;
+    /** Immutable byte spans carried after the payload, in order (the
+     *  diffs of a DiffBatchReply). */
+    std::vector<Image> images;
 
     /** Modeled wire header bytes. */
     static constexpr std::size_t kHeaderBytes = 32;
 
-    /** Total modeled size on the wire. */
-    std::size_t wireSize() const { return kHeaderBytes + payload.size(); }
+    /** Total modeled size on the wire: header, payload and images. */
+    std::size_t
+    wireSize() const
+    {
+        std::size_t bytes = kHeaderBytes + payload.size();
+        for (const Image &img : images)
+            bytes += img.size;
+        return bytes;
+    }
 };
 
 } // namespace dsm

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -19,6 +20,21 @@
 #include "util/logging.hh"
 
 namespace dsm {
+
+/**
+ * An immutable, reference-counted byte span that travels out of line
+ * with a Message (Message::images): the sender hands over a reference
+ * instead of copying the bytes into the payload. Nobody writes through
+ * an Image, so the sender, the network and any number of receivers may
+ * share it; the span lives as long as its last holder.
+ */
+struct Image
+{
+    std::shared_ptr<const std::byte> data;
+    std::size_t size = 0;
+
+    std::span<const std::byte> bytes() const { return {data.get(), size}; }
+};
 
 /**
  * Append-only little-endian encoder. The backing buffer comes from the

@@ -2,12 +2,20 @@
  * @file
  * Per-node virtual clock. The clock advances by explicit charges (work
  * units, protocol costs) and by Lamport-style causal maxima when
- * messages arrive, so the final per-node values give a deterministic
- * simulated execution time irrespective of host scheduling.
+ * messages arrive; the final per-node values are the simulated
+ * execution time.
  *
  * Both the application thread and the service thread of a node advance
- * the same clock; this mirrors the real systems, where the SIGIO
- * handler stole cycles from the application processor.
+ * the same clock, a stand-in for the real systems' SIGIO handler
+ * stealing cycles from the application processor. The stand-in is
+ * coarse, and it makes the simulated time depend on host scheduling:
+ * the service thread advances the shared clock to each request's
+ * arrival time (Endpoint::dispatchInner) whenever it happens to
+ * dispatch it, so the application's later charges land after that
+ * maximum or before it depending on the wall-clock interleaving of the
+ * two threads. Protocol counts are unaffected, but the same run can
+ * end at different virtual times, and a faster or slower handler moves
+ * them (EXPERIMENTS.md, "Homeless diff batches by reference").
  */
 
 #ifndef DSM_TIME_VIRTUAL_CLOCK_HH

@@ -9,6 +9,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <memory>
 
 #include "mem/diff.hh"
@@ -198,6 +199,16 @@ TEST(Diff, WireRoundTrip)
     EXPECT_EQ(back, d);
 }
 
+/** @p bytes as a received Image: a private shared copy. */
+Image
+imageOf(const std::vector<std::byte> &bytes)
+{
+    auto buf = std::make_shared_for_overwrite<std::byte[]>(bytes.size());
+    std::memcpy(buf.get(), bytes.data(), bytes.size());
+    return {std::shared_ptr<const std::byte>(buf, buf.get()),
+            bytes.size()};
+}
+
 TEST(Diff, ZeroCopyDecodeOutlivesReply)
 {
     std::vector<std::byte> twin(512, std::byte{0});
@@ -206,20 +217,25 @@ TEST(Diff, ZeroCopyDecodeOutlivesReply)
         cur[i] = std::byte{static_cast<unsigned char>(i + 1)};
     const Diff original = Diff::create(cur.data(), twin.data(), 512);
 
-    // A reply carrying a prefix, the diff and a suffix, as the fetch
-    // path sees it.
+    // A received frame body carrying a prefix, the diff image and a
+    // suffix; the socket tier's frame decoder hands the image out as a
+    // slice of such a buffer.
     WireWriter w;
     w.putU32(0xabcd);
     original.encode(w);
     w.putU32(0x1234);
-    auto reply =
-        std::make_shared<const std::vector<std::byte>>(w.take());
-    const std::byte *const reply_bytes = reply->data();
-    const std::size_t reply_size = reply->size();
+    const std::vector<std::byte> body = w.take();
+    auto reply = std::make_shared_for_overwrite<std::byte[]>(body.size());
+    std::memcpy(reply.get(), body.data(), body.size());
+    const std::byte *const reply_bytes = reply.get();
+    const std::size_t reply_size = body.size();
 
-    WireReader r(*reply);
+    Image img{std::shared_ptr<const std::byte>(reply, reply_bytes + 4),
+              original.wireBytes()};
+    WireReader r(std::span<const std::byte>(reply_bytes, reply_size));
     EXPECT_EQ(r.getU32(), 0xabcdu);
-    Diff d = Diff::decode(r, reply);
+    r.skip(img.size);
+    Diff d = Diff::fromImage(img);
     EXPECT_EQ(r.getU32(), 0x1234u);
     EXPECT_TRUE(r.done());
     // The runs are views into the reply, not a copy of it.
@@ -229,8 +245,9 @@ TEST(Diff, ZeroCopyDecodeOutlivesReply)
 
     // Drop every other handle to the reply buffer; the diff alone
     // keeps it alive.
-    std::weak_ptr<const std::vector<std::byte>> watch = reply;
+    std::weak_ptr<std::byte[]> watch = reply;
     reply.reset();
+    img = Image();
     EXPECT_FALSE(watch.expired());
 
     std::vector<std::byte> dst = twin;
@@ -245,6 +262,28 @@ TEST(Diff, ZeroCopyDecodeOutlivesReply)
 
     d = Diff();
     EXPECT_TRUE(watch.expired());
+}
+
+TEST(Diff, ImageSharesTheCreatorsBytes)
+{
+    std::vector<std::byte> twin(256, std::byte{0});
+    std::vector<std::byte> cur = twin;
+    cur[17] = std::byte{9};
+    const Diff d = Diff::create(cur.data(), twin.data(), 256);
+
+    // The in-process fetch path: the responder attaches image(), the
+    // fetcher wraps it — one allocation, no copy.
+    const Image img = d.image();
+    EXPECT_EQ(img.size, d.wireBytes());
+    const Diff back = Diff::fromImage(img);
+    EXPECT_EQ(back, d);
+    EXPECT_EQ((*back.runs().begin()).data.data(),
+              (*d.runs().begin()).data.data());
+
+    // The empty diff has an image too (its static header).
+    const Diff empty;
+    EXPECT_EQ(empty.image().size, Diff::kHeaderBytes);
+    EXPECT_EQ(Diff::fromImage(empty.image()), empty);
 }
 
 TEST(Diff, EncodedSizeIsWireBytes)
@@ -298,39 +337,35 @@ handEncodedDiff(std::uint32_t area_len, std::uint32_t offset,
 
 TEST(DiffDeathTest, RunOutOfBoundsIsRejected)
 {
-    auto bytes = std::make_shared<const std::vector<std::byte>>(
-        handEncodedDiff(64, 60, 8));
+    const std::vector<std::byte> bytes = handEncodedDiff(64, 60, 8);
     EXPECT_DEATH(
         {
-            WireReader r(*bytes);
+            WireReader r(bytes);
             Diff::decode(r);
         },
         "diff run out of bounds");
-    EXPECT_DEATH(
-        {
-            WireReader r(*bytes);
-            Diff::decode(r, bytes);
-        },
-        "diff run out of bounds");
+    EXPECT_DEATH(Diff::fromImage(imageOf(bytes)),
+                 "diff run out of bounds");
 }
 
 TEST(DiffDeathTest, TruncatedImageIsRejected)
 {
     std::vector<std::byte> full = handEncodedDiff(64, 8, 16);
-    auto bytes = std::make_shared<const std::vector<std::byte>>(
-        full.begin(), full.end() - 1);
+    const std::vector<std::byte> bytes(full.begin(), full.end() - 1);
     EXPECT_DEATH(
         {
-            WireReader r(*bytes);
+            WireReader r(bytes);
             Diff::decode(r);
         },
         "wire underrun");
-    EXPECT_DEATH(
-        {
-            WireReader r(*bytes);
-            Diff::decode(r, bytes);
-        },
-        "wire underrun");
+    EXPECT_DEATH(Diff::fromImage(imageOf(bytes)), "wire underrun");
+}
+
+TEST(DiffDeathTest, ImageWithTrailingBytesIsRejected)
+{
+    std::vector<std::byte> bytes = handEncodedDiff(64, 8, 16);
+    bytes.push_back(std::byte{0});
+    EXPECT_DEATH(Diff::fromImage(imageOf(bytes)), "trailing bytes");
 }
 
 /** Property: create+apply reconstructs the modified buffer exactly,

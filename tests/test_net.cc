@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the network layer: wire serialization, delivery,
  * loss/retransmission modeling, endpoint RPC and virtual-time
- * causality.
+ * causality, and out-of-line message images (a homeless diff batch
+ * reply) on the modeled wire and the retransmit path.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <map>
 #include <mutex>
 
+#include "core/diff_index.hh"
 #include "net/endpoint.hh"
 #include "net/network.hh"
 #include "net/fault_injector.hh"
@@ -158,6 +160,9 @@ class EndpointTest : public ::testing::Test
     }
 
     CostModel cm;
+    /** Installed only by the tests that drop traffic; outlives the
+     *  service threads, which TearDown joins. */
+    FaultInjector faults{1, 0.0};
     std::unique_ptr<Network> net;
     VirtualClock clocks[2];
     NodeStats stats[2];
@@ -473,6 +478,112 @@ TEST_F(EndpointTest, DedupWindowEvictionReexecutesLateDuplicate)
         EXPECT_EQ(execs[t0], 2)
             << "evicted duplicate should re-execute (bounded window)";
     }
+}
+
+// ---------------------------------------------------------------------
+// Out-of-line images: a DiffBatchReply carries its diffs as images.
+
+/** A responder's diff store: diffs of pages 7 and 9 by two writers. */
+struct BatchFixture
+{
+    DiffIndex store;
+    std::vector<Diff> diffs;
+
+    BatchFixture()
+    {
+        std::vector<std::byte> twin(256), cur(256);
+        const struct
+        {
+            PageId page;
+            NodeId proc;
+            std::uint32_t idx;
+        } puts[] = {{7, 0, 1}, {7, 0, 2}, {7, 1, 1}, {9, 1, 3}};
+        for (const auto &p : puts) {
+            cur[p.idx * 16 + static_cast<std::size_t>(p.proc)] =
+                std::byte{static_cast<unsigned char>(p.page)};
+            diffs.push_back(Diff::create(cur.data(), twin.data(), 256));
+            store.put(p.page, p.proc, p.idx, 100 + p.idx, diffs.back());
+        }
+    }
+
+    /** The reply body the responder builds for a requester holding
+     *  nothing: page count, then per page its id and encodeNewer(). */
+    void
+    encodeReply(WireWriter &w, std::vector<Image> &images) const
+    {
+        const VectorTime none(2);
+        w.putU32(2);
+        for (PageId page : {7u, 9u}) {
+            w.putU32(page);
+            store.encodeNewer(page, none, w, images);
+        }
+    }
+};
+
+TEST(DiffBatchReply, WireSizeMatchesTheInlineLayout)
+{
+    const BatchFixture fx;
+    Message reply;
+    WireWriter w;
+    fx.encodeReply(w, reply.images);
+    reply.payload = w.take();
+    ASSERT_EQ(reply.images.size(), fx.diffs.size());
+
+    // The layout with each image inline after its tuple header: page
+    // count, (page, count) per page, 14 B per diff, the images.
+    std::uint64_t inline_bytes = 4 + 2 * (4 + 4);
+    for (const Diff &d : fx.diffs)
+        inline_bytes += DiffIndex::kReplyHeaderBytes + d.wireBytes();
+    EXPECT_EQ(reply.payload.size(),
+              4 + 2 * (4 + 4) +
+                  fx.diffs.size() * DiffIndex::kReplyHeaderBytes);
+    EXPECT_EQ(reply.wireSize(), Message::kHeaderBytes + inline_bytes);
+}
+
+TEST_F(EndpointTest, ReplayedBatchReplyKeepsItsImages)
+{
+    // The responder drops its first reply on the wire (its droppable
+    // traffic is silenced for that one send); the caller's retransmit
+    // then hits the dedup record, which must resend the same images —
+    // shared, not copied — at the same modeled size.
+    net->setFaultInjector(&faults);
+    const BatchFixture fx;
+    std::atomic<int> handled{0};
+    eps[1]->setHandler([&](Message &msg) {
+        handled.fetch_add(1);
+        WireWriter w;
+        std::vector<Image> images;
+        fx.encodeReply(w, images);
+        faults.setSilenced(1, true);
+        eps[1]->reply(msg.src, MsgType::DiffBatchReply, w.take(),
+                      msg.replyToken, std::move(images));
+        faults.setSilenced(1, false);
+    });
+    eps[0]->setHandler([](Message &) {});
+    for (auto &ep : eps) {
+        ep->setFaultsEnabled(true);
+        ep->setRetransmitTimeouts(1'000'000, 4'000'000);
+    }
+    eps[0]->start();
+    eps[1]->start();
+
+    Message reply = eps[0]->call(1, MsgType::DiffBatchRequest, {});
+    EXPECT_EQ(handled.load(), 1) << "the resend must come from the "
+                                    "dedup record, not a re-run";
+    EXPECT_GE(faults.dropped(), 1u);
+    EXPECT_GE(stats[0].msgRetransmits, 1u);
+
+    Message want;
+    WireWriter w;
+    fx.encodeReply(w, want.images);
+    want.payload = w.take();
+    EXPECT_EQ(reply.payload, want.payload);
+    ASSERT_EQ(reply.images.size(), want.images.size());
+    for (std::size_t i = 0; i < want.images.size(); ++i) {
+        EXPECT_EQ(reply.images[i].data.get(), want.images[i].data.get());
+        EXPECT_EQ(reply.images[i].size, want.images[i].size);
+    }
+    EXPECT_EQ(reply.wireSize(), want.wireSize());
 }
 
 TEST(VirtualClock, AdvanceSemantics)

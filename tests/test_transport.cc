@@ -43,6 +43,29 @@ makeMessage(NodeId src, NodeId dst, MsgType type,
     return m;
 }
 
+/** An image of @p n bytes, each derived from @p salt. */
+Image
+makeImage(std::size_t n, unsigned salt)
+{
+    auto buf = std::make_shared_for_overwrite<std::byte[]>(n);
+    for (std::size_t i = 0; i < n; ++i)
+        buf[i] = static_cast<std::byte>(i * 13 + salt);
+    return {std::shared_ptr<const std::byte>(buf, buf.get()), n};
+}
+
+/** A DiffBatchReply-shaped message: a short payload plus images. */
+Message
+makeImageMessage(std::initializer_list<std::size_t> sizes)
+{
+    std::vector<std::byte> payload(19, std::byte{0x5a});
+    Message m = makeMessage(1, 0, MsgType::DiffBatchReply, payload);
+    m.isReply = true;
+    unsigned salt = 1;
+    for (std::size_t n : sizes)
+        m.images.push_back(makeImage(n, salt++));
+    return m;
+}
+
 void
 expectSameMessage(const Message &got, const Message &want)
 {
@@ -57,6 +80,16 @@ expectSameMessage(const Message &got, const Message &want)
     EXPECT_EQ(std::memcmp(got.payload.data(), want.payload.data(),
                           want.payload.size()),
               0);
+    ASSERT_EQ(got.images.size(), want.images.size());
+    for (std::size_t i = 0; i < want.images.size(); ++i) {
+        ASSERT_EQ(got.images[i].size, want.images[i].size) << "image " << i;
+        EXPECT_EQ(std::memcmp(got.images[i].data.get(),
+                              want.images[i].data.get(),
+                              want.images[i].size),
+                  0)
+            << "image " << i;
+    }
+    EXPECT_EQ(got.wireSize(), want.wireSize());
     // pairSeq never travels: the receiver's inbox stamps it at push.
     EXPECT_EQ(got.pairSeq, 0u);
 }
@@ -71,28 +104,47 @@ TEST(FrameCodec, DataFrameSurvivesEveryChunking)
     std::vector<std::byte> payload(37);
     for (std::size_t i = 0; i < payload.size(); ++i)
         payload[i] = static_cast<std::byte>(i * 7 + 1);
-    const Message msg =
-        makeMessage(2, 5, MsgType::DiffBatchRequest, payload);
-    const std::vector<std::byte> wire = encodeDataFrame(msg);
+    for (const Message &msg :
+         {makeMessage(2, 5, MsgType::DiffBatchRequest, payload),
+          makeImageMessage({40, 8, 0, 23})}) {
+        const std::vector<std::byte> wire = encodeDataFrame(msg);
 
-    // Split the wire bytes at every possible boundary, including in
-    // the middle of the length prefix (the torn-prefix case).
-    for (std::size_t cut = 0; cut <= wire.size(); ++cut) {
-        FrameDecoder dec;
-        Frame frame;
-        dec.feed(std::span<const std::byte>(wire.data(), cut));
-        if (cut < wire.size()) {
-            EXPECT_FALSE(dec.next(frame)) << "cut at " << cut;
+        // Split the wire bytes at every possible boundary, including in
+        // the middle of the length prefix (the torn-prefix case).
+        for (std::size_t cut = 0; cut <= wire.size(); ++cut) {
+            FrameDecoder dec;
+            Frame frame;
+            dec.feed(std::span<const std::byte>(wire.data(), cut));
+            if (cut < wire.size()) {
+                EXPECT_FALSE(dec.next(frame)) << "cut at " << cut;
+            }
+            dec.feed(std::span<const std::byte>(wire.data() + cut,
+                                                wire.size() - cut));
+            ASSERT_TRUE(dec.next(frame)) << "cut at " << cut;
+            EXPECT_EQ(frame.kind, FrameKind::Data);
+            expectSameMessage(frame.msg, msg);
+            EXPECT_FALSE(dec.next(frame));
+            EXPECT_EQ(dec.buffered(), 0u);
+            EXPECT_FALSE(dec.poisoned());
         }
-        dec.feed(std::span<const std::byte>(wire.data() + cut,
-                                            wire.size() - cut));
-        ASSERT_TRUE(dec.next(frame)) << "cut at " << cut;
-        EXPECT_EQ(frame.kind, FrameKind::Data);
-        expectSameMessage(frame.msg, msg);
-        EXPECT_FALSE(dec.next(frame));
-        EXPECT_EQ(dec.buffered(), 0u);
-        EXPECT_FALSE(dec.poisoned());
     }
+}
+
+TEST(FrameCodec, ImagesDecodeAsSlicesOfOneBuffer)
+{
+    const Message msg = makeImageMessage({40, 8, 23});
+    const std::vector<std::byte> wire = encodeDataFrame(msg);
+    FrameDecoder dec;
+    dec.feed(std::span<const std::byte>(wire.data(), wire.size()));
+    Frame frame;
+    ASSERT_TRUE(dec.next(frame));
+    expectSameMessage(frame.msg, msg);
+    // One copy of the image bytes, shared by all of the frame's images.
+    const auto &imgs = frame.msg.images;
+    EXPECT_EQ(imgs[1].data.get(), imgs[0].data.get() + imgs[0].size);
+    EXPECT_EQ(imgs[2].data.get(), imgs[1].data.get() + imgs[1].size);
+    EXPECT_FALSE(imgs[0].data.owner_before(imgs[2].data) ||
+                 imgs[2].data.owner_before(imgs[0].data));
 }
 
 TEST(FrameCodec, RandomStreamsPropertyRoundTrip)
@@ -116,6 +168,11 @@ TEST(FrameCodec, RandomStreamsPropertyRoundTrip)
             const auto type = static_cast<MsgType>(
                 1 + rng() % (static_cast<int>(MsgType::NumTypes) - 1));
             sent.push_back(makeMessage(3, 1, type, std::move(payload)));
+            const int nimages = static_cast<int>(rng() % 4);
+            for (int k = 0; k < nimages; ++k) {
+                sent.back().images.push_back(makeImage(
+                    rng() % 700, static_cast<unsigned>(rng())));
+            }
             append(encodeDataFrame(sent.back()));
         }
         append(encodeGoodbyeFrame(3, 1));
@@ -207,6 +264,70 @@ TEST(FrameCodec, MalformedBodiesPoison)
     std::memcpy(short_hello.data(), &lied, sizeof(lied));
     short_hello.resize(4 + lied);
     poisonsAfter(std::move(short_hello), "short body");
+
+    // Data frame whose payload length runs past the body.
+    auto long_payload = encodeDataFrame(
+        makeMessage(0, 1, MsgType::LockRequest, {}));
+    const std::uint32_t past = 0x7fffffff;
+    std::memcpy(long_payload.data() + 4 + 1 + 2 * sizeof(NodeId) + 3 + 24,
+                &past, sizeof(past));
+    poisonsAfter(std::move(long_payload), "payload length past body");
+}
+
+/** Rewrite the length prefix of @p wire to its actual body size. */
+void
+resealFrame(std::vector<std::byte> &wire)
+{
+    const auto body = static_cast<std::uint32_t>(wire.size() - 4);
+    std::memcpy(wire.data(), &body, sizeof(body));
+}
+
+TEST(FrameCodec, BadImageLengthsPoison)
+{
+    const auto poisons = [](std::vector<std::byte> wire, const char *what) {
+        FrameDecoder dec;
+        dec.feed(std::span<const std::byte>(wire.data(), wire.size()));
+        Frame frame;
+        EXPECT_FALSE(dec.next(frame)) << what;
+        EXPECT_TRUE(dec.poisoned()) << what;
+    };
+    const Message msg = makeImageMessage({40, 24});
+    const std::vector<std::byte> good = encodeDataFrame(msg);
+    // Offsets of the image section: count, then (len, bytes) x 2.
+    const std::size_t count_at = good.size() - (4 + 4 + 40 + 4 + 24);
+    const std::size_t len1_at = count_at + 4 + 4 + 40;
+
+    // Truncated image: the frame ends one byte into the last image.
+    auto truncated = good;
+    truncated.pop_back();
+    resealFrame(truncated);
+    poisons(std::move(truncated), "truncated image");
+
+    // An image length far past the body: rejected before any buffer
+    // is sized from it.
+    auto huge = good;
+    const std::uint32_t past = 0xfffffff0u;
+    std::memcpy(huge.data() + len1_at, &past, sizeof(past));
+    poisons(std::move(huge), "image length past the body");
+
+    // An image count the body cannot hold.
+    auto count = good;
+    const std::uint32_t many = 0xffffffffu;
+    std::memcpy(count.data() + count_at, &many, sizeof(many));
+    poisons(std::move(count), "image count past the body");
+
+    // Bytes after the last image.
+    auto trailing = good;
+    trailing.push_back(std::byte{0});
+    resealFrame(trailing);
+    poisons(std::move(trailing), "trailing bytes");
+
+    // The untouched frame still decodes.
+    FrameDecoder dec;
+    dec.feed(std::span<const std::byte>(good.data(), good.size()));
+    Frame frame;
+    ASSERT_TRUE(dec.next(frame));
+    expectSameMessage(frame.msg, msg);
 }
 
 TEST(FrameCodec, EncodedFrameOwnsItsBytes)
@@ -217,9 +338,18 @@ TEST(FrameCodec, EncodedFrameOwnsItsBytes)
     // after encode would corrupt the wire bytes.
     std::vector<std::byte> payload(256, std::byte{0xab});
     Message msg = makeMessage(0, 1, MsgType::HomeDiffFlush, payload);
+    auto image = std::make_shared<std::byte[]>(128);
+    std::fill(image.get(), image.get() + 128, std::byte{0xcd});
+    msg.images.push_back(
+        {std::shared_ptr<const std::byte>(image, image.get()), 128});
     std::vector<std::byte> wire = encodeDataFrame(msg);
     std::fill(msg.payload.begin(), msg.payload.end(), std::byte{0x00});
     msg.payload = std::vector<std::byte>(); // frees the allocation
+    std::fill(image.get(), image.get() + 128, std::byte{0x00});
+    std::weak_ptr<std::byte[]> watch = image;
+    image.reset();
+    msg.images.clear(); // frees the image
+    ASSERT_TRUE(watch.expired());
 
     FrameDecoder dec;
     dec.feed(std::span<const std::byte>(wire.data(), wire.size()));
@@ -229,6 +359,10 @@ TEST(FrameCodec, EncodedFrameOwnsItsBytes)
     EXPECT_EQ(std::memcmp(frame.msg.payload.data(), payload.data(),
                           payload.size()),
               0);
+    ASSERT_EQ(frame.msg.images.size(), 1u);
+    ASSERT_EQ(frame.msg.images[0].size, 128u);
+    for (std::size_t i = 0; i < 128; ++i)
+        ASSERT_EQ(frame.msg.images[0].data.get()[i], std::byte{0xcd});
 }
 
 // ---------------------------------------------------------------------
