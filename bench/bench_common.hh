@@ -66,29 +66,18 @@ benchCluster()
     // halvings); 0 restores the legacy undecayed counts.
     if (const char *v = std::getenv("DSM_HOME_DECAY"))
         cc.homeDecayWindow = static_cast<std::uint32_t>(std::atoi(v));
-    // Sharing-policy knobs (DSM_LOCK_FAIRNESS, DSM_HOME_LAST_WRITER,
-    // DSM_HOME_PINGPONG, DSM_HOME_DEFER) stay at their -1 sentinels
-    // here: Cluster resolves them from the environment itself, so any
-    // table bench runs at any policy point without recompiling. The
-    // classifier's switch threshold has no env knob and can be pinned
-    // here if a sweep needs it.
+    // The lock fairness bound (DSM_LOCK_FAIRNESS) stays at its -1
+    // sentinel here: Cluster resolves it from the environment itself,
+    // so any table bench runs at any k without recompiling.
     return cc;
 }
 
 /** Human-readable policy point for bench headers: the sharing-policy
- *  knobs as Cluster will resolve them for @p cc. */
+ *  knob as Cluster will resolve it for @p cc. */
 inline std::string
 policyLine(const ClusterConfig &cc)
 {
-    std::string s = "fairness k=" +
-                    std::to_string(cc.resolvedLockFairness());
-    s += cc.resolvedHomeLastWriter() ? ", migrate-to-last-writer"
-                                     : ", migrate-on-access-count";
-    s += ", ping-pong cap " +
-         std::to_string(cc.resolvedHomePingPongLimit());
-    s += cc.resolvedHomeFlushDefer() ? ", deferred flushes"
-                                     : ", eager flushes";
-    return s;
+    return "lock fairness k=" + std::to_string(cc.resolvedLockFairness());
 }
 
 inline void
@@ -97,7 +86,7 @@ printHeader(const char *title, const ClusterConfig &cc)
     std::printf("=== %s ===\n", title);
     std::printf("%d nodes, %zu-byte pages, %s\n", cc.nprocs, cc.pageSize,
                 cc.cost.toString().c_str());
-    std::printf("sharing policies: %s\n", policyLine(cc).c_str());
+    std::printf("sharing policy: %s\n", policyLine(cc).c_str());
     std::printf("(set DSM_SCALE=test|bench|paper to change workload "
                 "sizes)\n\n");
 }

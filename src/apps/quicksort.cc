@@ -309,7 +309,7 @@ QuicksortApp::runNode(Runtime &rt, const AppParams &params)
         if (done)
             break;
         if (entry < 0) {
-            rt.pollIdle(); // polling backoff (parks w/ DSM_BLOCKING_DEQ)
+            rt.pollIdle(); // polling backoff: spins, then parks
             continue;
         }
 

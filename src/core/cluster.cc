@@ -21,8 +21,7 @@ namespace dsm {
 Cluster::Node::Node(const ClusterConfig &config, Transport &net, NodeId id)
     : arena(config.arenaBytes, config.pageSize),
       ep(net, id, clock, stats),
-      locks(ep, config.threadsPerNode, config.lockLocalHandoffBound,
-            config.lockFairnessAdaptive > 0),
+      locks(ep, config.threadsPerNode, config.lockLocalHandoffBound),
       barriers(ep, config.threadsPerNode)
 {
     Runtime::Deps deps;
@@ -47,16 +46,9 @@ Cluster::Cluster(const ClusterConfig &config) : cfg(config)
     DSM_ASSERT(cfg.nprocs >= 1 && cfg.nprocs <= 64,
                "unreasonable node count %d", cfg.nprocs);
     cfg.threadsPerNode = cfg.resolvedThreadsPerNode();
-    // Sharing-policy knobs: apply the "-1 = environment default"
-    // resolution once, so every consumer below sees plain values.
+    // Lock fairness bound: apply the "-1 = environment default"
+    // resolution once, so every consumer below sees a plain value.
     cfg.lockLocalHandoffBound = cfg.resolvedLockFairness();
-    cfg.homeMigrateLastWriter = cfg.resolvedHomeLastWriter() ? 1 : 0;
-    cfg.homePingPongLimit =
-        static_cast<int>(cfg.resolvedHomePingPongLimit());
-    cfg.homeFlushDefer = cfg.resolvedHomeFlushDefer() ? 1 : 0;
-    // Latency-path knobs (PR 9).
-    cfg.blockingDequeue = cfg.resolvedBlockingDequeue() ? 1 : 0;
-    cfg.lockFairnessAdaptive = cfg.resolvedLockFairnessAdaptive() ? 1 : 0;
     // Transport tier: resolve before the crash-tolerance knobs so the
     // in-process-only fallback sees their resolved values too.
     cfg.transport = cfg.resolvedTransport();
@@ -121,7 +113,6 @@ Cluster::Cluster(const ClusterConfig &config) : cfg(config)
         Node *n = node.get();
         if (faults)
             n->ep.setFaultsEnabled(true);
-        n->ep.setBlockingDequeue(cfg.blockingDequeue > 0);
         n->ep.setRetransmitTimeouts(cfg.resolvedRtoFirstNs(),
                                     cfg.resolvedRtoCapNs());
         if (detector) {

@@ -137,46 +137,6 @@ ClusterConfig::resolvedLockFairness() const
     return k;
 }
 
-bool
-ClusterConfig::resolvedHomeLastWriter() const
-{
-    return resolveEnvDefault(homeMigrateLastWriter,
-                             "DSM_HOME_LAST_WRITER", 0) != 0;
-}
-
-std::uint32_t
-ClusterConfig::resolvedHomePingPongLimit() const
-{
-    // With the last-writer policy on, an uncapped follow-the-writer
-    // chase of a truly migratory page never settles; a small default
-    // budget makes it converge to a pinned home.
-    const int fallback = resolvedHomeLastWriter() ? 8 : 0;
-    const int limit =
-        resolveEnvDefault(homePingPongLimit, "DSM_HOME_PINGPONG",
-                          fallback);
-    DSM_ASSERT(limit >= 0, "bad homePingPongLimit %d", limit);
-    return static_cast<std::uint32_t>(limit);
-}
-
-bool
-ClusterConfig::resolvedHomeFlushDefer() const
-{
-    return resolveEnvDefault(homeFlushDefer, "DSM_HOME_DEFER", 0) != 0;
-}
-
-bool
-ClusterConfig::resolvedBlockingDequeue() const
-{
-    return resolveEnvDefault(blockingDequeue, "DSM_BLOCKING_DEQ", 0) != 0;
-}
-
-bool
-ClusterConfig::resolvedLockFairnessAdaptive() const
-{
-    return resolveEnvDefault(lockFairnessAdaptive,
-                             "DSM_LOCK_FAIRNESS_ADAPT", 0) != 0;
-}
-
 std::uint64_t
 ClusterConfig::resolvedFaultSeed() const
 {

@@ -146,18 +146,6 @@ struct ClusterConfig
     std::uint32_t gcIntervalThreshold = 256;
 
     /**
-     * Size the GC trigger from arena pressure instead of the bare
-     * record count: with this on, barrier-time GC also fires once the
-     * interval log references at least gcPressurePages page entries
-     * (live records x average pages per record), so a log full of fat
-     * records collects long before the static record-count threshold.
-     * The static gcIntervalThreshold remains as the fallback trigger
-     * either way. Off by default (legacy trigger).
-     */
-    bool adaptiveGcThreshold = false;
-    std::uint32_t gcPressurePages = 2048;
-
-    /**
      * Home-based LRC (HLRC-style): every page has a home node
      * (round-robin, migratable) that absorbs diffs eagerly at interval
      * close, so an access miss is exactly one request/reply pair
@@ -184,12 +172,7 @@ struct ClusterConfig
      */
     std::uint32_t homeDecayWindow = 1024;
 
-    // --- Sharing-policy layer: adaptive policies for migratory
-    // sharing (locks and task queues — the pattern on which the
-    // paper's EC and LRC results diverge most). Each knob defaults to
-    // -1 = "resolve from the environment at Cluster construction, off
-    // when unset", so whole ctest/bench legs can flip a policy without
-    // recompiling while tests that pin a value explicitly stay pinned.
+    // --- Sharing policy (DESIGN.md §4).
 
     /**
      * Bounded local-priority lock hand-off (SMP nodes): after at most
@@ -201,89 +184,18 @@ struct ClusterConfig
      * starve (EC's task-queue app degrades unboundedly under pure
      * local-first hand-off at threadsPerNode > 1). 0 = unbounded (the
      * pure local-first policy); -1 = the DSM_LOCK_FAIRNESS
-     * environment variable if set, else 0. Counted by
-     * remoteHandoffsForced / maxLocalHandoffRun.
+     * environment variable if set, else 0 (resolved once at Cluster
+     * construction, so ctest/bench legs can set it without
+     * recompiling while tests that pin a value stay pinned). Counted
+     * by remoteHandoffsForced / maxLocalHandoffRun.
      */
     int lockLocalHandoffBound = -1;
 
-    /**
-     * Migrate-to-last-writer home policy: a homed page whose flushes
-     * keep switching writers (a migratory object — task queue slots,
-     * lock-protected counters) follows the writer chain instead of
-     * waiting for one node to dominate the access counts. Classified
-     * by writer switches within the homeDecayWindow epoch (see
-     * homeWriterSwitchThreshold). -1 = DSM_HOME_LAST_WRITER env if
-     * set, else off. Counted by lastWriterMigrations.
-     */
-    int homeMigrateLastWriter = -1;
-
-    /**
-     * Writer switches of one homed page within the decay window that
-     * classify it as migratory under the last-writer policy (a switch
-     * is a flush — or a local interval close at the home — by a
-     * different writer than the previous one).
-     */
-    std::uint32_t homeWriterSwitchThreshold = 3;
-
-    /**
-     * Adaptive fallback for home ping-pong: once a page has migrated
-     * this many times (its migration epoch), further migrations are
-     * suppressed and the page stays pinned at its current home — the
-     * lever that turns pathological follow-the-writer ping-pong into
-     * a stable, reproducible static-home pattern. 0 = no cap; -1 =
-     * DSM_HOME_PINGPONG env if set, else 0 with the access-count
-     * policy alone and 8 when the last-writer policy is on (a
-     * migratory page settles after a bounded chase). Counted by
-     * homeMigrationsSuppressed.
-     */
-    int homePingPongLimit = -1;
-
-    /**
-     * Defer HomeDiffFlush sends and merge the payloads per home: a
-     * releaser that closes several intervals between remote
-     * communication points (lock grants, barrier arrivals, its own
-     * home fetches) sends one flush message per home carrying every
-     * pending interval's diffs instead of one message per close — the
-     * home's word-sum guard already tolerates any arrival order, and
-     * requests for not-yet-flushed intervals park at the home exactly
-     * as they do for in-flight ones. -1 = DSM_HOME_DEFER env if set,
-     * else off (eager per-close flushes, the legacy protocol).
-     * Counted by homeFlushesDeferred.
-     */
-    int homeFlushDefer = -1;
-
-    // --- Latency-path layer: adaptive blocking dequeue and
-    // the adaptive lock-fairness bound. Same -1 = "resolve from the
-    // environment at Cluster construction" convention as the policy
-    // knobs.
-
-    /**
-     * Adaptive blocking dequeue: app-level receive polls (the QS
-     * task-queue scan) park on the endpoint's activity futex word
-     * with an adaptive spin threshold instead of spinning through
-     * chargeWork backoff. -1 = DSM_BLOCKING_DEQ env if set, else off.
-     * Counted by idlePolls / idleParks.
-     */
-    int blockingDequeue = -1;
-
-    /**
-     * Per-lock adaptive fairness bound: instead of the static
-     * DSM_LOCK_FAIRNESS k, each lock's local-hand-off bound grows
-     * (x2, capped) while local runs complete with no remote waiter
-     * queued and shrinks (/2, floored at 1) every time the bound
-     * forces a remote grant — EC's task queue settles near k=16 while
-     * LRC's prefers k=4, so one static k always sacrifices one of
-     * them. Takes effect only when a base bound is armed (the static
-     * k seeds the initial per-lock bound). -1 =
-     * DSM_LOCK_FAIRNESS_ADAPT env if set, else off. Counted by
-     * fairnessBoundGrows / fairnessBoundShrinks.
-     */
-    int lockFairnessAdaptive = -1;
-
     // --- Crash tolerance: fault injection + coordinated
     // checkpointing. Same -1 = "resolve from the environment at
-    // Cluster construction" convention as the policy knobs, so the CI
-    // fault legs and the nightly chaos workflow flip them per process
+    // Cluster construction" convention as lockLocalHandoffBound, so
+    // the CI fault legs and the nightly chaos workflow flip them per
+    // process
     // while tests that pin values stay pinned. With every knob at its
     // resolved default (no DSM_FAULT_*/DSM_CKPT_* in the environment)
     // the fault layer is never constructed and the hot paths are
@@ -442,21 +354,6 @@ struct ClusterConfig
 
     /** lockLocalHandoffBound with the -1 = "env or 0" default. */
     int resolvedLockFairness() const;
-
-    /** homeMigrateLastWriter with the -1 = "env or off" default. */
-    bool resolvedHomeLastWriter() const;
-
-    /** homePingPongLimit with the -1 = "env, else policy default". */
-    std::uint32_t resolvedHomePingPongLimit() const;
-
-    /** homeFlushDefer with the -1 = "env or off" default. */
-    bool resolvedHomeFlushDefer() const;
-
-    /** blockingDequeue with the -1 = "env or off" default. */
-    bool resolvedBlockingDequeue() const;
-
-    /** lockFairnessAdaptive with the -1 = "env or off" default. */
-    bool resolvedLockFairnessAdaptive() const;
 
     /** faultSeed with the -1 = "env or 1" default. */
     std::uint64_t resolvedFaultSeed() const;

@@ -88,11 +88,6 @@ class IntervalLog
     /** Records currently held across all processors. */
     std::size_t totalRecords() const;
 
-    /** Page entries referenced by the held records (sum of
-     *  rec.pages.size() — the live arena pressure the adaptive GC
-     *  trigger sizes itself from). Maintained incrementally. */
-    std::uint64_t totalPageRefs() const { return pageRefs; }
-
     /** Checkpoint support: capture / rebuild the full log, including
      *  the per-processor GC bases (a restored node must refuse the
      *  same pruned records the original would have). */
@@ -108,7 +103,6 @@ class IntervalLog
     };
 
     std::vector<ProcLog> procs;
-    std::uint64_t pageRefs = 0;
 };
 
 } // namespace dsm

@@ -21,11 +21,7 @@ LrcRuntime::LrcRuntime(const Deps &deps)
       dirty(deps.arena->size(), deps.arena->pageSize()),
       homes(deps.nprocs, deps.self,
             deps.cluster->homeMigrateThreshold,
-            deps.cluster->homeDecayWindow,
-            deps.cluster->homeMigrateLastWriter > 0,
-            deps.cluster->homeWriterSwitchThreshold,
-            static_cast<std::uint32_t>(
-                std::max(0, deps.cluster->homePingPongLimit)))
+            deps.cluster->homeDecayWindow)
 {
     DSM_ASSERT(cluster->runtime.model == Model::LRC, "config mismatch");
     announceWrites = !homeMode() && usesDiffing() &&
@@ -181,8 +177,8 @@ LrcRuntime::closeInterval()
 
     const std::uint64_t page_words = arena->pageSize() / 4;
     const std::uint64_t vt_sum = rec.vt.sum();
-    // Home mode: diffs of one close, grouped by home, flushed (or
-    // deferred) below. Each carries the writer's previous interval
+    // Home mode: diffs of one close, grouped by home, flushed below.
+    // Each carries the writer's previous interval
     // for its page so the home can apply one writer's flushes in
     // order even when forwarding chains reorder their arrival.
     std::map<NodeId, std::vector<PendingFlush>> flushes;
@@ -252,10 +248,6 @@ LrcRuntime::closeInterval()
                         static_cast<std::uint32_t>(arena->pageSize()),
                         vt_sum, scan.kernel);
                     hs.appliedVt[id] = idx;
-                    // Keep the migratory classifier aware of local
-                    // writes (a self interval is a writer switch when
-                    // a remote one preceded it; never migrates).
-                    homes.countFlushWriter(hs, id);
                     }
                 } else {
                     Diff d = Diff::create(cur, twin,
@@ -300,24 +292,6 @@ LrcRuntime::closeInterval()
         }
     }
 
-    if (!flushes.empty() && cluster->homeFlushDefer > 0) {
-        // Deferred-merge policy: park this close's payloads per home
-        // (still under nl->home); they ride one message per home at
-        // the next communication point. A request for one of these
-        // intervals parks at the home exactly like a request for an
-        // in-flight flush, so the laziness costs no correctness.
-        for (auto &[home, entries] : flushes) {
-            auto &bucket = pendingHomeFlushes[home];
-            if (!bucket.empty()) {
-                // One HomeDiffFlush message that never goes on the
-                // wire: this close merges into the pending one.
-                stats().homeFlushesDeferred++;
-            }
-            for (PendingFlush &e : entries)
-                bucket.push_back(std::move(e));
-        }
-        flushes.clear();
-    }
     if (hg.owns_lock())
         hg.unlock();
     if (!store.empty()) {
@@ -326,8 +300,7 @@ LrcRuntime::closeInterval()
             diffStore.put(p, id, idx, vt_sum, std::move(d));
     }
 
-    // Eager flush to the homes (legacy default), one message per
-    // home, before the interval record can leave this node: any write
+    // Eager flush to the homes, one message per home, before the interval record can leave this node: any write
     // notice another node receives refers to a flush already in
     // flight.
     for (auto &[home, entries] : flushes) {
@@ -405,27 +378,8 @@ LrcRuntime::encodePiggybackedRecords(WireWriter &w,
     // cannot exceed the requester's coverage: pruning waits for a
     // barrier every node passed with its pages validated, and a
     // fetching node cannot be inside that barrier.
-    //
-    // Deferred-flush mode: cap our *own* records at the last flushed
-    // interval. A record whose flush still sits in pendingHomeFlushes
-    // must not leave through this service-thread path — the requester
-    // could park at a home that waits for our flush while our app
-    // thread blocks on the requester (every other exit for records —
-    // lock grants, barrier arrivals — flushes first).
-    const VectorTime *cap = nullptr;
-    VectorTime flushed_cap;
-    if (homeMode() && cluster->homeFlushDefer > 0) {
-        flushed_cap = VectorTime(numProcs);
-        for (int p = 0; p < numProcs; ++p) {
-            flushed_cap[p] = p == id
-                                 ? ownIdxFlushed.load(
-                                       std::memory_order_relaxed)
-                                 : ~std::uint32_t{0};
-        }
-        cap = &flushed_cap;
-    }
     std::lock_guard<std::mutex> ig(nl->ilog);
-    auto recs = ilog.recordsAfter(req_log, cap);
+    auto recs = ilog.recordsAfter(req_log);
     w.putU32(static_cast<std::uint32_t>(recs.size()));
     for (const IntervalRec *rec : recs) {
         encodeRecord(w, *rec);
@@ -522,12 +476,7 @@ std::vector<std::byte>
 LrcRuntime::makeLockRequest(LockId, AccessMode)
 {
     std::lock_guard<std::mutex> g(nl->core);
-    // An acquire begins a new interval (Section 5.1). The close's
-    // flush payload may stay deferred across the request: only our
-    // vector travels with it, no interval records leave, and a later
-    // fetch of our own invalidated page flushes first
-    // (fetchFromHome) — this is exactly the window where a releaser
-    // accumulates several closes into one merged flush per home.
+    // An acquire begins a new interval (Section 5.1).
     closeInterval();
     WireWriter w;
     vt.encode(w);
@@ -562,11 +511,6 @@ LrcRuntime::makeLockGrant(LockId, AccessMode, NodeId origin,
     for (std::uint32_t i = 0; i < nannounced; ++i)
         meta(req.getU32()).writerMask |= std::uint64_t{1} << origin;
     closeInterval();
-    // The grant below carries our interval records: every deferred
-    // flush they refer to must be in flight before the grant leaves
-    // (the eager protocol's invariant, re-established lazily).
-    if (homeMode())
-        flushPendingHomeFlushes();
 
     WireWriter w;
     vt.encode(w);
@@ -611,11 +555,6 @@ LrcRuntime::makeArrival(BarrierId)
 {
     std::lock_guard<std::mutex> g(nl->core);
     closeInterval();
-    // Same invariant as lock grants: the records in this arrival (and
-    // in the departures built from it) refer to flushes already in
-    // flight.
-    if (homeMode())
-        flushPendingHomeFlushes();
     WireWriter w;
     vt.encode(w);
     // GC handshake, local half: did this node validate every invalid
@@ -778,22 +717,11 @@ LrcRuntime::preBarrier()
     {
         std::lock_guard<std::mutex> g(nl->core);
         std::size_t records;
-        std::uint64_t page_refs;
         {
             std::lock_guard<std::mutex> ig(nl->ilog);
             records = ilog.totalRecords();
-            page_refs = ilog.totalPageRefs();
         }
-        // Static trigger: enough records. Adaptive trigger (ROADMAP):
-        // enough arena pressure — records x pages per record — so a
-        // log full of fat records collects long before the count
-        // threshold; the static value stays as the fallback.
-        bool trigger = records >= cluster->gcIntervalThreshold;
-        if (cluster->adaptiveGcThreshold &&
-            page_refs >= cluster->gcPressurePages) {
-            trigger = true;
-        }
-        if (!trigger)
+        if (records < cluster->gcIntervalThreshold)
             return;
         // The maintained invalid-page set is already sorted and holds
         // exactly the pages with pending notices.
@@ -1194,13 +1122,6 @@ LrcRuntime::fetchFromHome(PageId page)
     };
     std::unique_lock<std::mutex> g(nl->core);
     for (;;) {
-        // Deferred flushes first: our own unsent flush may be exactly
-        // what this fetch would otherwise wait for — at a remote home
-        // (it parks our request until the flush arrives) or at
-        // ourselves (a migration handed us the home role while our
-        // pre-migration flushes sat deferred; they apply in place and
-        // restore access).
-        flushPendingHomeFlushes();
         if (pages.access(page) != PageAccess::None)
             return; // resolved concurrently (flush apply or migration)
 
@@ -1760,63 +1681,9 @@ LrcRuntime::sendSingleFlush(NodeId dst, PageId page, NodeId proc,
     ep->send(dst, MsgType::HomeDiffFlush, w.take());
 }
 
-void
-LrcRuntime::flushPendingHomeFlushes()
-{
-    // Policy off: nothing is ever deferred and the ownIdxFlushed cap
-    // is never consulted — keep the legacy hot paths (every home
-    // fetch retry, grant and arrival call through here) free of the
-    // nl->home acquire.
-    if (cluster->homeFlushDefer <= 0)
-        return;
-    // Caller holds nl->core; pendingHomeFlushes lives under nl->home.
-    bool applied_locally = false;
-    {
-        std::lock_guard<std::mutex> hg(nl->home);
-        // After this point every own interval <= vt[self] has its
-        // flush in flight (or needed none): service-thread reply
-        // piggybacking may advertise our records up to here.
-        ownIdxFlushed.store(vt[id], std::memory_order_relaxed);
-        if (pendingHomeFlushes.empty())
-            return;
-        // Regroup by the *current* home: a page may have migrated
-        // since its interval closed — including to us, in which case
-        // the entries enter the parked-flush chain and apply (or
-        // wait for their predecessors) in place.
-        std::map<NodeId, std::vector<PendingFlush>> regrouped;
-        for (auto &[home, entries] : pendingHomeFlushes) {
-            for (PendingFlush &e : entries)
-                regrouped[homes.homeOf(e.page)].push_back(std::move(e));
-        }
-        pendingHomeFlushes.clear();
-        for (auto &[home, entries] : regrouped) {
-            if (home == id) {
-                for (PendingFlush &e : entries) {
-                    parkedFlushes.push_back({id, e.idx, e.prevIdx,
-                                             e.vtSum, e.page,
-                                             std::move(e.diff)});
-                }
-                applied_locally = true;
-                continue;
-            }
-            for (const PendingFlush &e : entries)
-                stats().diffBytesSent += e.diff.wireBytes();
-            stats().homeFlushesSent++;
-            sendFlushMessage(home, id, entries);
-        }
-        if (applied_locally) {
-            drainParkedFlushes();
-            serveParkedPageRequests();
-        }
-    }
-    if (applied_locally)
-        homeCv.notify_all();
-}
-
 bool
 LrcRuntime::applyFlushAtHome(PageId page, NodeId proc, std::uint32_t idx,
-                             std::uint64_t vt_sum, const Diff &diff,
-                             bool *via_last_writer)
+                             std::uint64_t vt_sum, const Diff &diff)
 {
     PageHomeTable::HomeState &hs = homes.state(
         page, static_cast<std::uint32_t>(arena->pageSize() / 4));
@@ -1834,10 +1701,6 @@ LrcRuntime::applyFlushAtHome(PageId page, NodeId proc, std::uint32_t idx,
     }
     clock().add(costModel().perWordApplyNs * words);
     hs.appliedVt[proc] = std::max(hs.appliedVt[proc], idx);
-    // Sharing-policy classification: every applied flush is one
-    // writer's interval; switching writers marks the page migratory
-    // and the last-writer policy follows the chain.
-    const bool follow_writer = homes.countFlushWriter(hs, proc);
 
     // The home's own copy is always current: fold the flush into the
     // regular per-page bookkeeping so pending notices resolve and the
@@ -1854,18 +1717,7 @@ LrcRuntime::applyFlushAtHome(PageId page, NodeId proc, std::uint32_t idx,
                                   ? PageAccess::ReadWrite
                                   : PageAccess::Read);
     }
-    const bool dominant = homes.countAccess(hs, proc);
-    if (!follow_writer && !dominant)
-        return false;
-    if (!homes.migrationAllowed(page)) {
-        // Adaptive fallback: the page has spent its ping-pong budget
-        // and stays pinned at this home.
-        stats().homeMigrationsSuppressed++;
-        return false;
-    }
-    if (via_last_writer)
-        *via_last_writer = follow_writer;
-    return true;
+    return homes.countAccess(hs, proc);
 }
 
 void
@@ -1891,10 +1743,9 @@ LrcRuntime::drainParkedFlushes()
                 ++it;
                 continue;
             }
-            bool via_lw = false;
             if (applyFlushAtHome(it->page, it->proc, it->idx, it->vtSum,
-                                 it->diff, &via_lw)) {
-                migrate.push_back({it->page, it->proc, via_lw});
+                                 it->diff)) {
+                migrate.push_back({it->page, it->proc});
             }
             it = parkedFlushes.erase(it);
             progress = true;
@@ -1907,13 +1758,12 @@ void
 LrcRuntime::runMigrations(const std::vector<MigrateReq> &migrate)
 {
     for (const MigrateReq &req : migrate) {
-        // A merged flush can fire the policy for several intervals of
-        // one page; only the first request still finds us the home,
-        // so the counters see exactly the migrations performed.
+        // A drain of parked flushes can fire the policy for several
+        // intervals of one page; only the first request still finds us
+        // the home, so the counters see exactly the migrations
+        // performed.
         if (!homes.isHome(req.page))
             continue;
-        if (req.viaLastWriter)
-            stats().lastWriterMigrations++;
         migrateHome(req.page, req.dst);
     }
 }
@@ -1929,8 +1779,8 @@ LrcRuntime::handleHomeDiffFlush(Message &msg)
         static_cast<std::uint32_t>(arena->pageSize() / 4);
     std::vector<MigrateReq> migrate;
     for (std::uint32_t i = 0; i < nentries; ++i) {
-        // Per-entry header: a deferred-merge message carries several
-        // intervals (same writer, different idx/vtSum) in one flush.
+        // Per-entry header: one close's message carries every page it
+        // flushes to this home.
         const NodeId proc = static_cast<NodeId>(r.getU16());
         const PageId page = r.getU32();
         const std::uint32_t idx = r.getU32();
@@ -1954,9 +1804,8 @@ LrcRuntime::handleHomeDiffFlush(Message &msg)
                 {proc, idx, prev_idx, vt_sum, page, std::move(d)});
             continue;
         }
-        bool via_lw = false;
-        if (applyFlushAtHome(page, proc, idx, vt_sum, d, &via_lw))
-            migrate.push_back({page, proc, via_lw});
+        if (applyFlushAtHome(page, proc, idx, vt_sum, d))
+            migrate.push_back({page, proc});
     }
     drainParkedFlushes();
     serveParkedPageRequests();
@@ -1985,11 +1834,7 @@ LrcRuntime::handleHomePageRequest(Message &msg)
 
     PageHomeTable::HomeState &hs = homes.state(
         page, static_cast<std::uint32_t>(arena->pageSize() / 4));
-    bool migrate = homes.countAccess(hs, origin);
-    if (migrate && !homes.migrationAllowed(page)) {
-        stats().homeMigrationsSuppressed++;
-        migrate = false;
-    }
+    const bool migrate = homes.countAccess(hs, origin);
     if (hs.appliedVt.dominates(need)) {
         replyHomePage(origin, msg.replyToken, page, hs, req_log);
     } else {
@@ -2143,19 +1988,6 @@ LrcRuntime::serialize(WireWriter &w) const
         w.putU32(pf.page);
         pf.diff.encode(w);
     }
-    w.putU32(static_cast<std::uint32_t>(pendingHomeFlushes.size()));
-    for (const auto &[dst, entries] : pendingHomeFlushes) {
-        w.putI64(dst);
-        w.putU32(static_cast<std::uint32_t>(entries.size()));
-        for (const PendingFlush &pf : entries) {
-            w.putU32(pf.page);
-            w.putU32(pf.idx);
-            w.putU32(pf.prevIdx);
-            w.putU64(pf.vtSum);
-            pf.diff.encode(w);
-        }
-    }
-    w.putU32(ownIdxFlushed.load(std::memory_order_acquire));
     w.putU8(gcValidated ? 1 : 0);
     w.putU32(static_cast<std::uint32_t>(barrierScratch.size()));
     for (const auto &[barrier, scratch] : barrierScratch) {
@@ -2241,24 +2073,6 @@ LrcRuntime::restoreFrom(WireReader &r)
         pf.diff = Diff::decode(r);
         parkedFlushes.push_back(std::move(pf));
     }
-    pendingHomeFlushes.clear();
-    const std::uint32_t nbuckets = r.getU32();
-    for (std::uint32_t i = 0; i < nbuckets; ++i) {
-        const NodeId dst = static_cast<NodeId>(r.getI64());
-        std::vector<PendingFlush> &entries = pendingHomeFlushes[dst];
-        const std::uint32_t nentries = r.getU32();
-        entries.reserve(nentries);
-        for (std::uint32_t e = 0; e < nentries; ++e) {
-            PendingFlush pf;
-            pf.page = r.getU32();
-            pf.idx = r.getU32();
-            pf.prevIdx = r.getU32();
-            pf.vtSum = r.getU64();
-            pf.diff = Diff::decode(r);
-            entries.push_back(std::move(pf));
-        }
-    }
-    ownIdxFlushed.store(r.getU32(), std::memory_order_release);
     gcValidated = r.getU8() != 0;
     barrierScratch.clear();
     const std::uint32_t nscratch = r.getU32();
@@ -2291,8 +2105,6 @@ LrcRuntime::wipeForRecovery()
     homes.clearForRecovery();
     parkedPageReqs.clear();
     parkedFlushes.clear();
-    pendingHomeFlushes.clear();
-    ownIdxFlushed.store(0, std::memory_order_release);
     gcValidated = false;
     barrierScratch.clear();
 }

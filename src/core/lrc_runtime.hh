@@ -32,7 +32,6 @@
 #ifndef DSM_CORE_LRC_RUNTIME_HH
 #define DSM_CORE_LRC_RUNTIME_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <map>
 #include <set>
@@ -282,35 +281,27 @@ class LrcRuntime : public Runtime
     /**
      * Apply one flushed diff in place at the home (the caller has
      * checked the writer chain: the writer's previous flush for this
-     * page is already applied). Returns true when a migration policy
-     * (dominant access counts, or the last-writer classifier) says
-     * the home should migrate to @p proc; @p via_last_writer, when
-     * non-null, reports whether the last-writer policy was the
-     * trigger (counted as lastWriterMigrations only where the
-     * migration actually runs — a merged flush can fire the policy
-     * for several intervals of one page but migrate once). Mutex
-     * held.
+     * page is already applied). Returns true when @p proc's access
+     * count crossed the migration threshold and the home should
+     * migrate to it. Mutex held.
      */
     bool applyFlushAtHome(PageId page, NodeId proc, std::uint32_t idx,
-                          std::uint64_t vt_sum, const Diff &diff,
-                          bool *via_last_writer = nullptr);
+                          std::uint64_t vt_sum, const Diff &diff);
 
     /** Apply every parked flush whose predecessor has arrived, forward
      *  those whose page migrated away, and run any migrations they
      *  trigger. Mutex held. */
     void drainParkedFlushes();
 
-    /** A migration a flush apply asked for, with its policy trigger
-     *  (for the lastWriterMigrations counter). */
+    /** A migration a flush apply asked for. */
     struct MigrateReq
     {
         PageId page;
         NodeId dst;
-        bool viaLastWriter;
     };
 
-    /** Perform the collected migrations that still find us the home,
-     *  counting last-writer-triggered ones. Mutex held. */
+    /** Perform the collected migrations that still find us the home.
+     *  Mutex held. */
     void runMigrations(const std::vector<MigrateReq> &migrate);
 
     /** Hand @p page's home role to @p new_home. Mutex held. */
@@ -431,9 +422,8 @@ class LrcRuntime : public Runtime
     };
     std::vector<ParkedFlush> parkedFlushes;
 
-    /** One of our own interval's per-page flush payloads, either sent
-     *  eagerly at interval close (legacy) or deferred into
-     *  pendingHomeFlushes (homeFlushDefer). */
+    /** One of our own interval's per-page flush payloads, sent at
+     *  interval close. */
     struct PendingFlush
     {
         PageId page;
@@ -442,47 +432,13 @@ class LrcRuntime : public Runtime
         std::uint64_t vtSum;
         Diff diff;
     };
-    /**
-     * Deferred-merge flush policy (homeFlushDefer / DSM_HOME_DEFER):
-     * interval closes park their flush payloads here, one bucket per
-     * believed home, and flushPendingHomeFlushes turns each bucket
-     * into a single HomeDiffFlush message at the next communication
-     * point — a releaser that closes many intervals between remote
-     * events sends one message per home instead of one per close.
-     * Guarded by nl->home; always empty with the policy off.
-     */
-    std::map<NodeId, std::vector<PendingFlush>> pendingHomeFlushes;
 
-    /** Encode @p entries (all @p proc's intervals) as one
-     *  HomeDiffFlush message to @p dst — the single writer of the
-     *  wire format handleHomeDiffFlush decodes (sendSingleFlush and
-     *  both flush paths go through here). */
+    /** Encode @p entries (@p proc's per-page flushes of one close) as
+     *  one HomeDiffFlush message to @p dst, in the wire format
+     *  handleHomeDiffFlush decodes (sendSingleFlush shares its
+     *  per-entry encoder). */
     void sendFlushMessage(NodeId dst, NodeId proc,
                           const std::vector<PendingFlush> &entries);
-
-    /**
-     * Send every deferred flush: regroup the buckets by the *current*
-     * home (pages may have migrated since their close — entries now
-     * homed here enter the parked-flush chain and apply in place),
-     * then one message per remote home. Re-establishes the eager
-     * protocol's invariant — any interval record that leaves this
-     * node refers to a flush already in flight — exactly at the
-     * points where records can leave (lock grants, barrier arrivals)
-     * or where we could otherwise wait on our own unsent flush (home
-     * fetches). Caller holds nl->core.
-     */
-    void flushPendingHomeFlushes();
-
-    /**
-     * Largest own interval index whose flush is in flight (or needed
-     * none). With the deferred-flush policy, service-thread reply
-     * piggybacking must not leak a record whose flush still sits in
-     * pendingHomeFlushes: a requester could otherwise park at a home
-     * that waits for us while we block on that requester — written
-     * under nl->core (flushPendingHomeFlushes), read lock-free by the
-     * service thread (encodePiggybackedRecords).
-     */
-    std::atomic<std::uint32_t> ownIdxFlushed{0};
 
     /** Set by preBarrier when this node validated all its pages ahead
      *  of the upcoming arrival (the local half of the GC handshake). */

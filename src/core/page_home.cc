@@ -100,8 +100,6 @@ PageHomeTable::serialize(WireWriter &w) const
         for (std::uint32_t count : hs.accessCounts)
             w.putU32(count);
         w.putU32(hs.windowAccesses);
-        w.putI64(hs.lastWriter);
-        w.putU32(hs.writerSwitches);
     }
 }
 
@@ -131,8 +129,6 @@ PageHomeTable::restoreFrom(WireReader &r)
         for (std::uint32_t c = 0; c < ncounts; ++c)
             hs.accessCounts[c] = r.getU32();
         hs.windowAccesses = r.getU32();
-        hs.lastWriter = static_cast<int>(r.getI64());
-        hs.writerSwitches = r.getU32();
     }
 }
 

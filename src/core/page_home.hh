@@ -47,30 +47,13 @@ class PageHomeTable
      *        migrate-on-threshold policy sees the *recent* access mix
      *        instead of history accumulated long ago. 0 keeps the
      *        legacy undecayed counts.
-     * @param last_writer_policy Migrate-to-last-writer: a page whose
-     *        flushes keep switching writers (>= switch_threshold
-     *        switches within the decay window) is migratory, and the
-     *        home follows the most recent writer instead of waiting
-     *        for one node to dominate the access counts.
-     * @param switch_threshold Writer switches that classify a page as
-     *        migratory under the last-writer policy.
-     * @param ping_pong_limit Adaptive fallback: once a page's
-     *        migration epoch reaches this limit, further migrations
-     *        are suppressed and the page is pinned at its current
-     *        home (0 = no cap).
      */
     PageHomeTable(int nprocs, NodeId self,
                   std::uint32_t migrate_threshold,
-                  std::uint32_t decay_window = 0,
-                  bool last_writer_policy = false,
-                  std::uint32_t switch_threshold = 3,
-                  std::uint32_t ping_pong_limit = 0)
+                  std::uint32_t decay_window = 0)
         : nprocs_(nprocs), self_(self),
           migrateThreshold(migrate_threshold),
-          decayWindow(decay_window),
-          lastWriterPolicy(last_writer_policy),
-          switchThreshold(switch_threshold),
-          pingPongLimit(ping_pong_limit)
+          decayWindow(decay_window)
     {}
 
     /** Current home of @p page: round-robin unless migrated. */
@@ -125,14 +108,6 @@ class PageHomeTable
         std::vector<std::uint32_t> accessCounts;
         /** Accesses since the counters were last halved. */
         std::uint32_t windowAccesses = 0;
-        /** Writer of the last flush applied here (the home itself for
-         *  local interval closes); -1 before the first write. */
-        int lastWriter = -1;
-        /** Writer changes observed, decayed with the epoch window —
-         *  the migratory-sharing classifier of the last-writer
-         *  policy (single writer per interval by construction: each
-         *  flush is one writer's interval). */
-        std::uint32_t writerSwitches = 0;
     };
 
     /** State of a locally homed @p page, created on first use with
@@ -182,7 +157,6 @@ class PageHomeTable
             hs.windowAccesses = 0;
             for (std::uint32_t &count : hs.accessCounts)
                 count /= 2;
-            hs.writerSwitches /= 2; // same recency discipline
         }
         if (node == self_)
             return false;
@@ -190,52 +164,16 @@ class PageHomeTable
         return migrateThreshold > 0 && count >= migrateThreshold;
     }
 
-    /**
-     * Record that @p writer's interval was applied to a locally homed
-     * page (a remote flush, or the home's own interval close).
-     * Returns true when the migrate-to-last-writer policy says the
-     * home should follow @p writer: the page's flushes keep switching
-     * writers — the migratory pattern (task queues, lock-protected
-     * records) where the statically or access-count-homed page makes
-     * every hand-off pay a flush plus a fetch round trip against a
-     * third party. Never fires for the home's own writes or with the
-     * policy off; callers must additionally honor migrationAllowed().
-     */
-    bool
-    countFlushWriter(HomeState &hs, NodeId writer)
-    {
-        if (!lastWriterPolicy)
-            return false;
-        if (hs.lastWriter >= 0 &&
-            hs.lastWriter != static_cast<int>(writer)) {
-            ++hs.writerSwitches;
-        }
-        hs.lastWriter = static_cast<int>(writer);
-        return writer != self_ && hs.writerSwitches >= switchThreshold;
-    }
-
-    /**
-     * Adaptive ping-pong fallback: false once @p page's migration
-     * epoch has reached the cap — the page is pinned at its current
-     * home, turning an endless follow-the-writer chase into a stable
-     * static-home pattern.
-     */
-    bool
-    migrationAllowed(PageId page) const
-    {
-        return pingPongLimit == 0 || epochOf(page) < pingPongLimit;
-    }
-
     std::size_t numHomedStates() const { return states.size(); }
 
     /** Checkpoint support: capture / rebuild the migration overrides
-     *  and the home-side per-page states (policy knobs are not
+     *  and the home-side per-page states (the migration knobs are not
      *  serialized — they are reconstructed from configuration). */
     void serialize(WireWriter &w) const;
     void restoreFrom(WireReader &r);
 
     /** Chaos kill: drop all mappings and home states, keeping the
-     *  policy knobs (they come from configuration, not the wire). */
+     *  migration knobs (they come from configuration, not the wire). */
     void clearForRecovery()
     {
         overrides.clear();
@@ -253,9 +191,6 @@ class PageHomeTable
     NodeId self_ = 0;
     std::uint32_t migrateThreshold = 0;
     std::uint32_t decayWindow = 0;
-    bool lastWriterPolicy = false;
-    std::uint32_t switchThreshold = 3;
-    std::uint32_t pingPongLimit = 0;
     std::unordered_map<PageId, Mapping> overrides;
     std::unordered_map<PageId, HomeState> states;
 };

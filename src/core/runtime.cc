@@ -88,12 +88,8 @@ Runtime::chargeWork(std::uint64_t units)
 void
 Runtime::pollIdle()
 {
-    // Virtual-clock accounting is identical with the knob on or off —
-    // the blocking dequeue changes where wall-clock goes, never the
-    // modeled time — so final states stay bit-identical.
+    // The park changes where wall-clock goes, never the modeled time.
     chargeWork(400);
-    if (!ep->blockingDequeueOn())
-        return;
     ep->stats().idlePolls++;
     // Adaptive spin before parking: a poller whose last wait parked
     // skips straight to the futex.

@@ -176,12 +176,12 @@ class Runtime
      * Back off inside an app-level empty-poll loop (a task-queue scan
      * that found nothing). Always charges the historical 400-unit
      * polling backoff to the virtual clock, so modeled time is knob-
-     * independent. With DSM_BLOCKING_DEQ armed it additionally parks
-     * the calling worker on the endpoint's activity futex after an
-     * adaptive spin — wall-clock leaves the poll loop instead of
-     * burning it, which is what collapses the QS message-count spread
-     * (every wasted poll can steal a core from the service thread and
-     * perturb message interleavings).
+     * independent. It then parks the calling worker on the
+     * endpoint's activity futex after an adaptive spin — wall-clock
+     * leaves the poll loop instead of burning it, which is what
+     * collapses the QS message-count spread (every wasted poll can
+     * steal a core from the service thread and perturb message
+     * interleavings).
      */
     void pollIdle();
 
@@ -217,6 +217,9 @@ class Runtime
 
     /** The node's lock service (test introspection). */
     LockService &lockService() { return *locks; }
+
+    /** The node's endpoint (test introspection). */
+    Endpoint &endpoint() { return *ep; }
 
     NodeStats &stats() { return ep->stats(); }
     VirtualClock &clock() { return ep->clock(); }

@@ -45,13 +45,6 @@ Endpoint::setFaultsEnabled(bool enabled)
 }
 
 void
-Endpoint::setBlockingDequeue(bool on)
-{
-    DSM_ASSERT(!running.load(), "blocking dequeue flipped while running");
-    blockingDeqOn = on;
-}
-
-void
 Endpoint::setFailureDetector(FailureDetector *fd)
 {
     DSM_ASSERT(!running.load(), "detector armed while running");

@@ -147,17 +147,7 @@ class Endpoint
     void setRetransmitTimeouts(std::uint64_t first_ns,
                                std::uint64_t cap_ns);
 
-    /**
-     * Arm the adaptive blocking-dequeue support (DSM_BLOCKING_DEQ):
-     * every dispatched message bumps the endpoint's activity word so
-     * app-level receive polls (Runtime::pollIdle) can park on it
-     * instead of spinning. Must be set before start().
-     */
-    void setBlockingDequeue(bool on);
-
-    bool blockingDequeueOn() const { return blockingDeqOn; }
-
-    /** Current activity stamp (monotone once blocking dequeue is on). */
+    /** Current activity stamp (monotone). */
     std::uint32_t
     activityStamp() const
     {
@@ -166,14 +156,11 @@ class Endpoint
 
     /**
      * Signal local progress (a message dispatched, a lock released):
-     * wakes any pollIdle parker. No-op unless blocking dequeue is on.
-     * Any thread.
+     * wakes any pollIdle parker. Any thread.
      */
     void
     bumpActivity()
     {
-        if (!blockingDeqOn)
-            return;
         activityWord.fetch_add(1, std::memory_order_release);
         if (activityWaiters.load(std::memory_order_acquire) > 0)
             futexWakeAll(activityWord);
@@ -187,6 +174,14 @@ class Endpoint
      * always resume to re-poll.
      */
     void waitActivity(std::uint32_t seen, std::uint64_t timeout_ns);
+
+    /** Callers inside waitActivity right now (test introspection —
+     *  lets a test act only once a poller has provably parked). */
+    std::uint32_t
+    activityWaiterCount() const
+    {
+        return activityWaiters.load(std::memory_order_acquire);
+    }
 
     NodeId self() const { return id; }
 
@@ -286,8 +281,6 @@ class Endpoint
 
     /** Fault-tolerant request path armed (see setFaultsEnabled). */
     bool faultsOn = false;
-    /** Blocking-dequeue activity signalling armed. */
-    bool blockingDeqOn = false;
 
     /** Progress epoch for app-level blocking dequeues: bumped on
      *  every dispatched message (and lock release), parked on by

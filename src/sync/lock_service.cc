@@ -7,14 +7,13 @@
 namespace dsm {
 
 LockService::LockService(Endpoint &endpoint, int threads_per_node,
-                         int local_handoff_bound, bool adaptive_fairness)
+                         int local_handoff_bound)
     : ep(endpoint), threadsPerNode(threads_per_node),
-      handoffBound(local_handoff_bound),
-      adaptiveFairness(adaptive_fairness)
+      handoffBound(static_cast<std::uint32_t>(local_handoff_bound))
 {
     DSM_ASSERT(threadsPerNode >= 1, "bad threadsPerNode %d",
                threads_per_node);
-    DSM_ASSERT(handoffBound >= 0, "bad lock fairness bound %d",
+    DSM_ASSERT(local_handoff_bound >= 0, "bad lock fairness bound %d",
                local_handoff_bound);
 }
 
@@ -35,32 +34,10 @@ LockService::LockLocal &
 LockService::localState(LockId lock)
 {
     auto [it, inserted] = locks.try_emplace(lock);
-    if (inserted) {
-        // The manager initially owns every lock it manages.
+    // The manager initially owns every lock it manages.
+    if (inserted)
         it->second.owned = isManager(lock);
-        if (adaptiveFairness) {
-            it->second.bound = handoffBound > 0
-                                   ? static_cast<std::uint32_t>(
-                                         handoffBound)
-                                   : kAdaptiveBoundSeed;
-        }
-    }
     return it->second;
-}
-
-std::uint32_t
-LockService::currentFairnessBound(LockId lock) const
-{
-    std::lock_guard<std::mutex> g(mu);
-    auto it = locks.find(lock);
-    if (it == locks.end()) {
-        return adaptiveFairness
-                   ? (handoffBound > 0
-                          ? static_cast<std::uint32_t>(handoffBound)
-                          : kAdaptiveBoundSeed)
-                   : static_cast<std::uint32_t>(handoffBound);
-    }
-    return effectiveBound(it->second);
 }
 
 bool
@@ -250,7 +227,6 @@ LockService::release(LockId lock)
         const bool free_now =
             state.writeHolder == LockService::kNoHolder &&
             state.readHolders == 0;
-        const std::uint32_t bound = effectiveBound(state);
         if (state.localWaiters > 0) {
             // Local waiters win: the lock stays on the node and the
             // next holder takes it without a message. Queued remote
@@ -260,39 +236,23 @@ LockService::release(LockId lock)
             // pending remote requester is served first (ownership
             // leaves; the woken waiters fall back to a remote
             // acquisition through the manager).
-            if (bound > 0 && free_now && state.owned &&
+            if (handoffBound > 0 && free_now && state.owned &&
                 !state.pending.empty() &&
-                state.localHandoffRun >= bound) {
+                state.localHandoffRun >= handoffBound) {
                 ep.stats().remoteHandoffsForced++;
-                if (adaptiveFairness) {
-                    // The bound bit: this lock's local appetite is
-                    // starving remotes — tighten it.
-                    state.bound =
-                        std::max<std::uint32_t>(1, state.bound / 2);
-                    ep.stats().fairnessBoundShrinks++;
-                }
                 state.localHandoffRun = 0;
                 drainPending(lock, state);
             }
             cv.notify_all();
         } else if (free_now && state.owned) {
             // The run of intra-node hand-offs ends when a release
-            // finds no local taker. A run that completed with no
-            // remote request ever queued is evidence the bound is too
-            // tight for this lock's sharing pattern — let it grow.
-            if (adaptiveFairness && state.pending.empty() &&
-                state.localHandoffRun > 0 &&
-                state.bound < kAdaptiveBoundMax) {
-                state.bound = std::min<std::uint32_t>(
-                    kAdaptiveBoundMax, state.bound * 2);
-                ep.stats().fairnessBoundGrows++;
-            }
+            // finds no local taker.
             state.localHandoffRun = 0;
             drainPending(lock, state);
         }
     }
-    // App-level blocking dequeues (Runtime::pollIdle) may be parked
-    // waiting for exactly the state this release published.
+    // App-level idle polls (Runtime::pollIdle) may be parked waiting
+    // for exactly the state this release published.
     ep.bumpActivity();
 }
 
@@ -465,7 +425,6 @@ LockService::serialize(WireWriter &w) const
         w.putU8(s.fetching);
         w.putI64(s.localWaiters);
         w.putU32(s.localHandoffRun);
-        w.putU32(s.bound);
         w.putU64(s.lastTransferNs);
         w.putU32(static_cast<std::uint32_t>(s.pending.size()));
         for (const Forward &f : s.pending) {
@@ -510,7 +469,6 @@ LockService::restoreFrom(WireReader &r)
         s.fetching = r.getU8() != 0;
         s.localWaiters = static_cast<int>(r.getI64());
         s.localHandoffRun = r.getU32();
-        s.bound = r.getU32();
         s.lastTransferNs = r.getU64();
         const std::uint32_t npending = r.getU32();
         for (std::uint32_t p = 0; p < npending; ++p) {

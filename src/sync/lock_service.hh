@@ -114,21 +114,9 @@ class LockService
      *        pending remote requester after at most this many
      *        consecutive intra-node hand-offs (0 = unbounded, the
      *        pure local-first policy).
-     * @param adaptive_fairness Per-lock adaptive bound
-     *        (DSM_LOCK_FAIRNESS_ADAPT): each lock starts at the
-     *        static bound (or 4 when none is armed), doubles while
-     *        releases find no remote waiter queued (up to 64) and
-     *        halves every time the bound forces a remote grant (down
-     *        to 1) — EC's task queue settles high, LRC's low, without
-     *        a hand-tuned global k.
      */
     explicit LockService(Endpoint &endpoint, int threads_per_node = 1,
-                         int local_handoff_bound = 0,
-                         bool adaptive_fairness = false);
-
-    /** Current fairness bound of @p lock (test/bench introspection):
-     *  the adaptive per-lock value when armed, else the static k. */
-    std::uint32_t currentFairnessBound(LockId lock) const;
+                         int local_handoff_bound = 0);
 
     void setHooks(LockHooks hooks);
 
@@ -249,10 +237,6 @@ class LockService
          *  requester was served, or a release found no local taker
          *  (the fairness bound's run length). */
         std::uint32_t localHandoffRun = 0;
-        /** Per-lock adaptive fairness bound (adaptive mode only;
-         *  seeded from the static k at first touch, grown/shrunk at
-         *  releases). */
-        std::uint32_t bound = 0;
         /** Clock of the last local transfer point — a sibling's
          *  release or a completed remote grant (orders an intra-node
          *  hand-off without any message). */
@@ -298,23 +282,10 @@ class LockService
 
     LockLocal &localState(LockId lock);
 
-    /** Fairness bound in force for @p state right now. */
-    std::uint32_t
-    effectiveBound(const LockLocal &state) const
-    {
-        return adaptiveFairness ? state.bound
-                                : static_cast<std::uint32_t>(handoffBound);
-    }
-
     Endpoint &ep;
     const int threadsPerNode;
     /** Fairness bound k (0 = unbounded local priority). */
-    const int handoffBound;
-    /** Per-lock adaptive bound armed (see the constructor). */
-    const bool adaptiveFairness;
-    /** Adaptive bound clamp and no-static-k seed. */
-    static constexpr std::uint32_t kAdaptiveBoundMax = 64;
-    static constexpr std::uint32_t kAdaptiveBoundSeed = 4;
+    const std::uint32_t handoffBound;
     mutable std::mutex mu;
     std::condition_variable cv;
     LockHooks hooks;

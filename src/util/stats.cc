@@ -29,8 +29,6 @@ forEachField(Stats &s, Fn fn)
     fn("intraNodeLockHandoffs", s.intraNodeLockHandoffs);
     fn("remoteHandoffsForced", s.remoteHandoffsForced);
     fn("maxLocalHandoffRun", s.maxLocalHandoffRun);
-    fn("fairnessBoundGrows", s.fairnessBoundGrows);
-    fn("fairnessBoundShrinks", s.fairnessBoundShrinks);
     fn("pageFaults", s.pageFaults);
     fn("twinsCreated", s.twinsCreated);
     fn("twinWordsCopied", s.twinWordsCopied);
@@ -56,9 +54,6 @@ forEachField(Stats &s, Fn fn)
     fn("homeFlushesSent", s.homeFlushesSent);
     fn("pageFetchRoundTrips", s.pageFetchRoundTrips);
     fn("homeMigrations", s.homeMigrations);
-    fn("lastWriterMigrations", s.lastWriterMigrations);
-    fn("homeMigrationsSuppressed", s.homeMigrationsSuppressed);
-    fn("homeFlushesDeferred", s.homeFlushesDeferred);
     fn("gcRounds", s.gcRounds);
     fn("gcRecordsReclaimed", s.gcRecordsReclaimed);
     fn("gcDiffsReclaimed", s.gcDiffsReclaimed);

@@ -37,8 +37,8 @@ struct NodeStats
     std::uint64_t repliesBypassed = 0;
     std::uint64_t replyBypassRefusals = 0;
     std::uint64_t messagesCoalesced = 0;
-    /** Adaptive blocking dequeue (DSM_BLOCKING_DEQ): app-level empty
-     *  polls, and the subset that gave up spinning and parked on the
+    /** Blocking dequeue (Runtime::pollIdle): app-level empty polls,
+     *  and the subset that gave up spinning and parked on the
      *  endpoint activity futex. */
     std::uint64_t idlePolls = 0;
     std::uint64_t idleParks = 0;
@@ -66,11 +66,6 @@ struct NodeStats
      *  a fairness bound k and a remote requester pending, the run a
      *  remote waits out never exceeds k. */
     std::uint64_t maxLocalHandoffRun = 0;
-    /** Per-lock adaptive fairness (DSM_LOCK_FAIRNESS_ADAPT): bound
-     *  growth events (a local run completed with no remote waiter
-     *  queued) and shrink events (the bound forced a remote grant). */
-    std::uint64_t fairnessBoundGrows = 0;
-    std::uint64_t fairnessBoundShrinks = 0;
 
     // Write trapping.
     std::uint64_t pageFaults = 0;
@@ -108,16 +103,6 @@ struct NodeStats
     std::uint64_t homeFlushesSent = 0;
     std::uint64_t pageFetchRoundTrips = 0;
     std::uint64_t homeMigrations = 0;
-    /** Migrations triggered by the migrate-to-last-writer policy
-     *  (subset of homeMigrations). */
-    std::uint64_t lastWriterMigrations = 0;
-    /** Migrations a policy wanted but the ping-pong cap suppressed
-     *  (the page stays pinned at its current home). */
-    std::uint64_t homeMigrationsSuppressed = 0;
-    /** Interval closes whose flush payload for some home was merged
-     *  into an already-pending deferred flush — each is one
-     *  HomeDiffFlush message that never went on the wire. */
-    std::uint64_t homeFlushesDeferred = 0;
 
     // Barrier-time interval/diff garbage collection.
     std::uint64_t gcRounds = 0;

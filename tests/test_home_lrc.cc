@@ -7,10 +7,8 @@
  *    request/reply round trip, counter-asserted;
  *  - a deliberately skewed access pattern migrates the home past the
  *    threshold and stays correct before, during and after the move;
- *  - the sharing-policy layer: migrate-to-last-writer follows an
- *    alternating writer chain, the ping-pong cap pins a pathologically
- *    migrating page, and the deferred-flush policy merges a run of
- *    interval closes into one HomeDiffFlush per home;
+ *  - every interval close flushes eagerly, one HomeDiffFlush per
+ *    close;
  *  - migration churn under a steady reader, and replies staying
  *    ordered behind HomeMigrate broadcasts and forwarded lock grants.
  */
@@ -182,157 +180,55 @@ TEST(HomeLrc, MigratesUnderSkewedAccess)
 }
 
 // ---------------------------------------------------------------------
-// Sharing-policy layer.
+// Flush transport.
 
-/** Alternating writers (the migratory pattern): nodes 1 and 2 take
- *  turns rewriting a page homed at node 0. The access-count policy is
- *  off; only the migrate-to-last-writer classifier can move the home,
- *  and it must, while the data stays correct through every move. */
-TEST(HomeLrc, LastWriterPolicyFollowsMigratoryWriter)
+/** Eager flushes: node 1 closes four intervals on a remotely homed
+ *  page (three at remote acquires of fresh locks, one at the barrier
+ *  arrival). Every close sends its own HomeDiffFlush before its
+ *  interval record can leave the node, and the home ends with every
+ *  close's words. */
+TEST(HomeLrc, EveryCloseFlushesEagerly)
 {
-    constexpr int kEpochs = 12;
-    ClusterConfig cc = homeConfig(3, 0); // access-count policy off
-    cc.homeMigrateLastWriter = 1;
-    cc.homeWriterSwitchThreshold = 2;
-    cc.homePingPongLimit = 0; // uncapped: pure follow-the-writer
-    cc.transport = "ring";    // white-box lrcOf() inspection below
+    ClusterConfig cc = homeConfig(2, 0);
     Cluster cluster(cc);
     RunResult result = cluster.run([&](Runtime &rt) {
-        auto a = SharedArray<int>::alloc(rt, 256, 4, "mig");
+        auto a = SharedArray<int>::alloc(rt, 256, 4, "eager");
         rt.barrier(0);
-        for (int e = 0; e < kEpochs; ++e) {
-            const int writer = 1 + e % 2;
-            if (rt.self() == writer) {
-                for (int i = 0; i < 256; ++i)
-                    a.set(i, e * 1000 + i);
-            }
-            rt.barrier(1 + 2 * e);
-            if (rt.self() != writer) {
-                for (int i = 0; i < 256; i += 11)
-                    ASSERT_EQ(a.get(i), e * 1000 + i);
-            }
-            rt.barrier(2 + 2 * e);
-        }
-    });
-
-    EXPECT_GE(result.total.lastWriterMigrations, 1u)
-        << "alternating writers must classify the page migratory";
-    EXPECT_GE(result.total.homeMigrations,
-              result.total.lastWriterMigrations);
-    // The final mapping is consistent everywhere.
-    const NodeId final_home = lrcOf(cluster, 0).pageHomeOf(0);
-    for (int n = 1; n < 3; ++n)
-        EXPECT_EQ(lrcOf(cluster, n).pageHomeOf(0), final_home);
-}
-
-/** Same alternating pattern with a ping-pong budget of 2: the page
- *  migrates at most twice, further policy firings are suppressed, and
- *  the pinned page still serves every reader correctly. */
-TEST(HomeLrc, PingPongCapPinsHome)
-{
-    constexpr int kEpochs = 14;
-    ClusterConfig cc = homeConfig(3, 0);
-    cc.homeMigrateLastWriter = 1;
-    cc.homeWriterSwitchThreshold = 2;
-    cc.homePingPongLimit = 2;
-    Cluster cluster(cc);
-    RunResult result = cluster.run([&](Runtime &rt) {
-        auto a = SharedArray<int>::alloc(rt, 256, 4, "pin");
-        rt.barrier(0);
-        for (int e = 0; e < kEpochs; ++e) {
-            const int writer = 1 + e % 2;
-            if (rt.self() == writer) {
-                for (int i = 0; i < 256; ++i)
-                    a.set(i, e * 1000 + i);
-            }
-            rt.barrier(1 + 2 * e);
-            if (rt.self() != writer) {
-                for (int i = 0; i < 256; i += 17)
-                    ASSERT_EQ(a.get(i), e * 1000 + i);
-            }
-            rt.barrier(2 + 2 * e);
-        }
-    });
-
-    EXPECT_LE(result.total.homeMigrations, 2u)
-        << "the ping-pong cap must pin the page after two moves";
-    EXPECT_GE(result.total.homeMigrationsSuppressed, 1u)
-        << "the suppressed migrations should be counted";
-}
-
-/** Deferred-flush merging: node 1 closes four intervals on a remotely
- *  homed page (three via remote acquires of fresh locks, one at the
- *  barrier) with no communication that would force a flush in
- *  between. With DSM_HOME_DEFER the four payloads ride one
- *  HomeDiffFlush; eagerly they are four messages. Both runs must
- *  leave identical bytes at the home. */
-TEST(HomeLrc, DeferredFlushesMergePerHome)
-{
-    RunResult result;
-    auto run = [&](bool defer) {
-        ClusterConfig cc = homeConfig(2, 0);
-        cc.homeFlushDefer = defer ? 1 : 0;
-        auto cluster = std::make_unique<Cluster>(cc);
-        result = cluster->run([&](Runtime &rt) {
-            auto a = SharedArray<int>::alloc(rt, 256, 4, "defer");
-            rt.barrier(0);
-            if (rt.self() == 1) {
-                // Each remote acquire (locks 2, 4, 6 start owned by
-                // their manager, node 0) closes the previous
-                // interval; with the deferred policy the request
-                // carries no records, so the flush payloads pile up
-                // per home until the barrier arrival sends them as
-                // one message.
-                for (int k = 0; k < 4; ++k) {
-                    for (int i = k * 64; i < (k + 1) * 64; ++i)
-                        a.set(i, 7000 + i);
-                    if (k < 3) {
-                        rt.acquire(static_cast<LockId>(2 + 2 * k),
-                                   AccessMode::Write);
-                        rt.release(static_cast<LockId>(2 + 2 * k));
-                    }
+        if (rt.self() == 1) {
+            // Each remote acquire (locks 2, 4, 6 start owned by their
+            // manager, node 0) closes the previous interval.
+            for (int k = 0; k < 4; ++k) {
+                for (int i = k * 64; i < (k + 1) * 64; ++i)
+                    a.set(i, 7000 + i);
+                if (k < 3) {
+                    rt.acquire(static_cast<LockId>(2 + 2 * k),
+                               AccessMode::Write);
+                    rt.release(static_cast<LockId>(2 + 2 * k));
                 }
             }
-            rt.barrier(1);
-            if (rt.self() == 0) {
-                for (int i = 0; i < 256; ++i)
-                    ASSERT_EQ(a.get(i), 7000 + i);
-            }
-            rt.barrier(2);
-        });
-        std::vector<std::byte> bytes(1024);
-        std::memcpy(bytes.data(), cluster->memory(0, 0), bytes.size());
-        return bytes;
-    };
-
-    const std::vector<std::byte> eager_bytes = run(false);
-    const RunResult eager = result;
-    const std::vector<std::byte> deferred_bytes = run(true);
-    const RunResult deferred = result;
-
-    EXPECT_EQ(deferred_bytes, eager_bytes);
-    EXPECT_GE(deferred.total.homeFlushesDeferred, 3u)
-        << "three closes should have merged into the pending flush";
-    EXPECT_LT(deferred.total.homeFlushesSent,
-              eager.total.homeFlushesSent)
-        << "merging must reduce flush messages";
-    EXPECT_EQ(deferred.total.homeFlushesSent, 1u);
+        }
+        rt.barrier(1);
+        if (rt.self() == 0) {
+            for (int i = 0; i < 256; ++i)
+                ASSERT_EQ(a.get(i), 7000 + i);
+        }
+        rt.barrier(2);
+    });
+    EXPECT_EQ(result.total.homeFlushesSent, 4u)
+        << "one flush message per close, none merged";
 }
 
 // ---------------------------------------------------------------------
 // Migration churn under a steady reader: an alternating writer pair
-// drives migrate-to-last-writer hand-offs while a reader misses on the
-// moving home every round. A deposed home's copy must never shadow the
+// and the reader drive access-count hand-offs (threshold 2) while the
+// reader misses on the moving home every round. A deposed home's copy must never shadow the
 // current home's flushes.
 
 TEST(HomeLrc, MigrationChurnUnderConcurrentReads)
 {
     constexpr int kInts = 256; // one page
     constexpr int kRounds = 24;
-    ClusterConfig cc = homeConfig(3, 0);
-    cc.homeMigrateLastWriter = 1;
-    cc.homeWriterSwitchThreshold = 2;
-    cc.homePingPongLimit = 0; // unbounded: keep the home moving
+    ClusterConfig cc = homeConfig(3, 2); // migrate eagerly
     Cluster cluster(cc);
     RunResult result = cluster.run([&](Runtime &rt) {
         auto a = SharedArray<int>::alloc(rt, kInts, 4, "churn");
@@ -340,7 +236,7 @@ TEST(HomeLrc, MigrationChurnUnderConcurrentReads)
         rt.barrier(0);
         for (int round = 0; round < kRounds; ++round) {
             // Writers 0 and 1 alternate under the lock (the migratory
-            // pattern: each round switches the page's last writer).
+            // pattern: each round switches the page's writer).
             const int writer = round % 2;
             rt.acquire(7, AccessMode::Write);
             if (self == writer) {

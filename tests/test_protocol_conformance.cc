@@ -40,22 +40,10 @@ struct ProtocolLeg
      *  path); the *_nonotice legs prove the seed protocol and the
      *  piggybacked one produce bit-identical final state. */
     bool piggyback;
-    /** Sharing-policy legs: bounded-fairness lock hand-off bound
-     *  (0 = unbounded), migrate-to-last-writer home policy, and the
-     *  deferred-merged flush transport. Each must leave the final
-     *  state bit-identical to the policy-off protocols — they change
-     *  who serves whom and when payloads travel, never the values. */
+    /** Lock fairness bound k (0 = unbounded local priority). It
+     *  changes who is served when, never the values, so every k must
+     *  leave the final state bit-identical. */
     int fairness = 0;
-    bool lastWriter = false;
-    bool deferFlush = false;
-    /** Blocking-dequeue leg: -1 keeps the env sentinel (so the
-     *  DSM_BLOCKING_DEQ CI sweep flips the whole grid), 0/1 forces
-     *  the knob for this leg. It changes only where wall-clock goes —
-     *  any byte it moves is a conformance failure. */
-    int blockingDeq = -1;
-    /** Per-lock adaptive fairness bound (DSM_LOCK_FAIRNESS_ADAPT):
-     *  reshapes hand-off scheduling, never values. */
-    bool adaptFair = false;
 };
 
 const ProtocolLeg kLegs[] = {
@@ -66,21 +54,9 @@ const ProtocolLeg kLegs[] = {
     {"LRC_time_nonotice", "LRC-time", false, false},
     {"LRC_home", "LRC-diff", true, true},
     {"LRC_home_nonotice", "LRC-diff", true, false},
-    // Sharing-policy legs (PR 5): each policy on its own, then all
-    // three at once, against the same policy-off reference state.
     {"EC_fair", "EC-diff", false, true, 4},
     {"LRC_fair", "LRC-diff", false, true, 4},
-    {"LRC_home_lastwriter", "LRC-diff", true, true, 0, true},
-    {"LRC_home_defer", "LRC-diff", true, true, 0, false, true},
-    {"LRC_home_allpolicies", "LRC-diff", true, true, 4, true, true},
-    // Latency-path legs. Blocking dequeue and adaptive fairness
-    // default off, so each gets a forced-on leg.
-    {"EC_blockingdeq", "EC-diff", false, true, 0, false, false, 1},
-    {"LRC_home_blockingdeq", "LRC-diff", true, true, 0, false, false, 1},
-    {"EC_fair_adaptive", "EC-diff", false, true, 4, false, false, -1,
-     true},
-    {"LRC_home_latency_all", "LRC-diff", true, true, 4, true, true, 1,
-     true},
+    {"LRC_home_fair", "LRC-diff", true, true, 4},
 };
 
 struct KernelCase
@@ -107,20 +83,6 @@ runLeg(const ProtocolLeg &leg, const KernelCase &kc)
     // conformance also covers the migration machinery.
     cc.homeMigrateThreshold = 4;
     cc.lockLocalHandoffBound = leg.fairness;
-    cc.homeMigrateLastWriter = leg.lastWriter ? 1 : 0;
-    cc.homeFlushDefer = leg.deferFlush ? 1 : 0;
-    cc.blockingDequeue = leg.blockingDeq;
-    if (leg.adaptFair)
-        cc.lockFairnessAdaptive = 1;
-    // Last-writer legs use an aggressive classifier and a tiny
-    // ping-pong budget so migrations *and* the pin both happen inside
-    // these small kernels.
-    if (leg.lastWriter) {
-        cc.homeWriterSwitchThreshold = 2;
-        cc.homePingPongLimit = 3;
-    } else {
-        cc.homePingPongLimit = 0;
-    }
     Cluster cluster(cc);
     cluster.run(kc.run);
     std::vector<std::byte> state(kc.stateBytes);

@@ -9,8 +9,8 @@
  *  - Same-node concurrent writers: one twin per (page, interval)
  *    regardless of how many sibling threads store to the page, and no
  *    write is lost.
- *  - T=1 parity: with threadsPerNode == 1 (and the satellite policy
- *    knobs pinned to their legacy values) the deterministic protocol
+ *  - T=1 parity: with threadsPerNode == 1 (and the lock fairness
+ *    bound pinned to 0) the deterministic protocol
  *    counters of the barrier-separated apps are bit-identical to the
  *    pre-refactor golden frozen in tests/data/t1_parity_golden.txt.
  *    (Exec times and traffic byte counts are schedule-dependent even
@@ -97,6 +97,10 @@ TEST(SmpNodes, HandoffShortCircuitsAfterRemoteFetch)
     Cluster cluster(cc);
 
     constexpr int kIters = 100;
+    // Node 0's threads that have left the loop. Both live in node 0's
+    // address space on every transport, so the atomic is shared by
+    // exactly the two threads that read it.
+    std::atomic<int> finished{0};
     RunResult r = cluster.run([&](Runtime &rt) {
         auto a = SharedArray<std::uint64_t>::alloc(rt, 8, 4, "ctr");
         rt.barrier(0);
@@ -104,8 +108,18 @@ TEST(SmpNodes, HandoffShortCircuitsAfterRemoteFetch)
             for (int i = 0; i < kIters; ++i) {
                 rt.acquire(1, AccessMode::Write);
                 a.set(1, a.get(1) + 1);
+                // Hold until the sibling is provably a queued local
+                // waiter (or has finished), so the release hands the
+                // lock over instead of racing the sibling's next
+                // acquire. A parked acquire served locally is an
+                // intra-node hand-off by definition.
+                while (rt.lockService().localWaiterCount(1) == 0 &&
+                       finished.load() == 0) {
+                    std::this_thread::yield();
+                }
                 rt.release(1);
             }
+            finished.fetch_add(1);
         }
         rt.barrier(1);
     });
@@ -117,6 +131,75 @@ TEST(SmpNodes, HandoffShortCircuitsAfterRemoteFetch)
     const std::uint64_t *v = reinterpret_cast<const std::uint64_t *>(
         cluster.memory(0, 8));
     EXPECT_EQ(*v, static_cast<std::uint64_t>(2 * kIters));
+}
+
+// ---------------------------------------------------------------------
+// Blocking dequeue: Runtime::pollIdle spins, then parks on the node
+// endpoint's activity word. A parked poller resumes when a sibling's
+// lock release or a dispatched message bumps the word, and — through
+// its bounded park — when the progress it waits for bumps nothing on
+// its node at all.
+
+TEST(SmpNodes, IdlePollParksAndResumes)
+{
+    ClusterConfig cc;
+    cc.nprocs = 2;
+    cc.threadsPerNode = 2;
+    cc.arenaBytes = 1u << 20;
+    cc.pageSize = 1024;
+    cc.runtime = RuntimeConfig::parse("LRC-diff");
+    // Node 1's threads watch node 0's endpoint and publish through a
+    // host atomic: one address space, so pin the in-process transport.
+    cc.transport = "ring";
+    Cluster cluster(cc);
+
+    constexpr LockId kLock = 0; // managed by node 0
+    std::atomic<Runtime *> node0{nullptr};
+    std::atomic<int> phase{0}; // the progress the poller waits for
+    RunResult r = cluster.run([&](Runtime &rt) {
+        const bool poller = rt.self() == 0 && rt.threadId() == 0;
+        if (poller)
+            node0.store(&rt);
+        rt.barrier(0);
+        Endpoint &ep0 = node0.load()->endpoint();
+        const auto awaitParked = [&] {
+            while (ep0.activityWaiterCount() == 0)
+                std::this_thread::yield();
+        };
+        for (int p = 1; p <= 3; ++p) {
+            if (poller) {
+                while (phase.load() < p)
+                    rt.pollIdle();
+            } else if (p == 1 && rt.self() == 0) {
+                // The sibling publishes under the lock; its release
+                // bumps the word the poller parked on.
+                rt.acquire(kLock, AccessMode::Write);
+                awaitParked();
+                phase.store(1);
+                const std::uint32_t before = ep0.activityStamp();
+                rt.release(kLock);
+                EXPECT_NE(ep0.activityStamp(), before)
+                    << "a lock release must signal parked pollers";
+            } else if (p == 2 && rt.self() == 1 && rt.threadId() == 0) {
+                // A message node 0's service thread dispatches: the
+                // lock request to its manager.
+                awaitParked();
+                phase.store(2);
+                rt.acquire(kLock, AccessMode::Write);
+                rt.release(kLock);
+            } else if (p == 3 && rt.self() == 1 && rt.threadId() == 0) {
+                // A remote store: no message, no release on node 0.
+                // Only the park's timeout brings the poller back.
+                awaitParked();
+                phase.store(3);
+            }
+            rt.barrier(p);
+        }
+    });
+
+    // Each phase waited for a registered parker before publishing.
+    EXPECT_GE(r.total.idleParks, 3u);
+    EXPECT_GE(r.total.idlePolls, r.total.idleParks);
 }
 
 // ---------------------------------------------------------------------
@@ -289,8 +372,8 @@ loadGolden()
 TEST(SmpNodes, T1ParityAgainstPreRefactorGolden)
 {
     // The refactor must be observationally invisible at the old
-    // scenario point: threadsPerNode == 1, legacy GC trigger, legacy
-    // (undecayed) home-migration counters. SOR and SOR+ are the
+    // scenario point: threadsPerNode == 1, legacy (undecayed)
+    // home-migration counters. SOR and SOR+ are the
     // barrier-separated apps whose protocol counters are reproducible
     // run to run even in the seed; the golden lists exactly those.
     const auto golden = loadGolden();
@@ -302,17 +385,10 @@ TEST(SmpNodes, T1ParityAgainstPreRefactorGolden)
     cc.arenaBytes = 16u << 20;
     cc.pageSize = 4096;
     cc.threadsPerNode = 1;
-    cc.adaptiveGcThreshold = false;
     cc.homeDecayWindow = 0;
-    // Sharing-policy knobs pinned to their legacy values, so a
-    // policy CI leg's environment (DSM_LOCK_FAIRNESS,
-    // DSM_HOME_LAST_WRITER, DSM_HOME_DEFER, DSM_HOME_PINGPONG)
-    // cannot perturb the golden counters (a last-writer migration
-    // changes SOR's home-flush count).
+    // Lock fairness pinned to its legacy value, so a CI leg's
+    // DSM_LOCK_FAIRNESS cannot perturb the golden counters.
     cc.lockLocalHandoffBound = 0;
-    cc.homeMigrateLastWriter = 0;
-    cc.homePingPongLimit = 0;
-    cc.homeFlushDefer = 0;
 
     for (const std::string &app : {std::string("SOR"),
                                    std::string("SOR+")}) {

@@ -352,12 +352,17 @@ TEST_F(SyncFixture, BarrierHooksMergeAndDistribute)
 }
 
 // ---------------------------------------------------------------------
-// Per-lock adaptive fairness bound (DSM_LOCK_FAIRNESS_ADAPT): each
-// lock's hand-off bound seeds at 4 (no static k armed), doubles while
-// local runs complete with no remote waiter queued, and halves every
-// time the bound forces a remote grant.
+// Static fairness bound k = 4, choreographed with exact counts. Node 0
+// (lock 2's manager and initial owner) holds the lock while a node-1
+// contender's request queues there; then two node-0 threads hand the
+// lock back and forth, each release waiting until the sibling has
+// provably parked. Every local grant extends the run, so the fourth
+// release is the one that finds the run at the bound with the remote
+// still queued: exactly one forced grant. Ownership then leaves the
+// node, and the parked thread re-acquires remotely once the contender
+// releases.
 
-TEST(AdaptiveFairness, SeedsGrowsAndShrinks)
+TEST(LockFairness, StaticBoundForcesOneRemoteGrant)
 {
     CostModel cm;
     Network net(2, cm);
@@ -366,16 +371,12 @@ TEST(AdaptiveFairness, SeedsGrowsAndShrinks)
     Endpoint ep0(net, 0, clocks[0], stats[0]);
     Endpoint ep1(net, 1, clocks[1], stats[1]);
     LockService locks0(ep0, /*threads_per_node=*/2,
-                       /*local_handoff_bound=*/0,
-                       /*adaptive_fairness=*/true);
-    LockService locks1(ep1, 1, 0, true);
+                       /*local_handoff_bound=*/4);
+    LockService locks1(ep1, 1, 4);
     ep0.setHandler([&](Message &msg) { locks0.handleMessage(msg); });
     ep1.setHandler([&](Message &msg) { locks1.handleMessage(msg); });
     ep0.start();
     ep1.start();
-
-    // Untouched locks report the seed, never the static bound of 0.
-    EXPECT_EQ(locks0.currentFairnessBound(0), 4u);
 
     NodeStats app;
     std::mutex appMu;
@@ -393,43 +394,6 @@ TEST(AdaptiveFairness, SeedsGrowsAndShrinks)
         });
     };
 
-    // Phase 1 — grow: two node-0 threads ping-pong with no remote
-    // interest. Every run of hand-offs that ends at a free release
-    // doubles the bound (4 -> 8 -> ... -> 64 cap).
-    {
-        std::vector<std::thread> ts;
-        for (int tid = 0; tid < 2; ++tid) {
-            ts.push_back(worker(0, tid, [&] {
-                for (int k = 0; k < 60; ++k) {
-                    locks0.acquire(0, AccessMode::Write);
-                    std::this_thread::yield();
-                    locks0.release(0);
-                }
-            }));
-        }
-        for (auto &t : ts)
-            t.join();
-    }
-    const std::uint32_t grown = locks0.currentFairnessBound(0);
-    EXPECT_GT(grown, 4u);
-    EXPECT_LE(grown, 64u);
-    {
-        std::lock_guard<std::mutex> g(appMu);
-        EXPECT_GE(app.fairnessBoundGrows, 1u);
-        EXPECT_EQ(app.fairnessBoundShrinks, 0u);
-    }
-
-    // Phase 2 — shrink, choreographed on a fresh lock still at the
-    // seed bound of 4. Node 0 (lock 2's manager and initial owner)
-    // holds the lock while a node-1 contender's request queues there;
-    // then two node-0 threads hand the lock back and forth, each
-    // release waiting until the sibling has provably parked. Every
-    // local grant extends the run, so the fourth release is the one
-    // that finds the run at the bound with the remote still queued:
-    // exactly one forced grant, and the bound halves to 2. Ownership
-    // then leaves the node, and the parked thread re-acquires
-    // remotely once the contender releases.
-    const NodeStats before = app;
     {
         // Each scripted thread alternates acquire/release of lock 2,
         // one operation per go[] step the test hands it.
@@ -484,7 +448,6 @@ TEST(AdaptiveFairness, SeedsGrowsAndShrinks)
         awaitDone(1, 3);
         step(0); // t0 parks behind t1
         awaitParked();
-        EXPECT_EQ(locks0.currentFairnessBound(2), 4u);
         step(1); // t1 releases at the bound: forced remote grant
         awaitDone(0, 5); // t0 re-acquired through the manager
         step(0); // t0 releases
@@ -493,32 +456,13 @@ TEST(AdaptiveFairness, SeedsGrowsAndShrinks)
     }
     {
         std::lock_guard<std::mutex> g(appMu);
-        EXPECT_EQ(app.remoteHandoffsForced - before.remoteHandoffsForced,
-                  1u);
-        EXPECT_EQ(app.fairnessBoundShrinks - before.fairnessBoundShrinks,
-                  1u);
-        EXPECT_EQ(app.fairnessBoundGrows, before.fairnessBoundGrows);
-        EXPECT_EQ(app.intraNodeLockHandoffs -
-                      before.intraNodeLockHandoffs,
-                  3u);
+        EXPECT_EQ(app.remoteHandoffsForced, 1u);
+        EXPECT_EQ(app.intraNodeLockHandoffs, 3u);
+        EXPECT_EQ(app.maxLocalHandoffRun, 4u);
     }
-    EXPECT_EQ(locks0.currentFairnessBound(2), 2u);
 
     ep0.stop();
     ep1.stop();
-    net.shutdown();
-}
-
-// With adaptiveness off, the per-lock view is just the static k.
-TEST(AdaptiveFairness, StaticBoundReportedWhenOff)
-{
-    CostModel cm;
-    Network net(1, cm);
-    VirtualClock clock;
-    NodeStats stats;
-    Endpoint ep(net, 0, clock, stats);
-    LockService locks(ep, 1, /*local_handoff_bound=*/7, false);
-    EXPECT_EQ(locks.currentFairnessBound(9), 7u);
     net.shutdown();
 }
 

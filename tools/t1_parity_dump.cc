@@ -46,10 +46,9 @@ main()
                 ClusterConfig run_cc = cc;
                 run_cc.homeBasedLrc = home != 0;
                 // Pin the scenario point the golden was frozen at:
-                // one thread per node, legacy GC trigger, legacy
-                // (undecayed) home-migration counters.
+                // one thread per node, legacy (undecayed)
+                // home-migration counters.
                 run_cc.threadsPerNode = 1;
-                run_cc.adaptiveGcThreshold = false;
                 run_cc.homeDecayWindow = 0;
                 ExperimentResult r =
                     runExperiment(app, config, params, run_cc);
