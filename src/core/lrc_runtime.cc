@@ -300,9 +300,9 @@ LrcRuntime::closeInterval()
             diffStore.put(p, id, idx, vt_sum, std::move(d));
     }
 
-    // Eager flush to the homes, one message per home, before the interval record can leave this node: any write
-    // notice another node receives refers to a flush already in
-    // flight.
+    // Eager flush to the homes, one message per home, before the
+    // interval record can leave this node: any write notice another
+    // node receives refers to a flush already in flight.
     for (auto &[home, entries] : flushes) {
         for (const PendingFlush &e : entries)
             stats().diffBytesSent += e.diff.wireBytes();

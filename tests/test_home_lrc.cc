@@ -221,8 +221,8 @@ TEST(HomeLrc, EveryCloseFlushesEagerly)
 // ---------------------------------------------------------------------
 // Migration churn under a steady reader: an alternating writer pair
 // and the reader drive access-count hand-offs (threshold 2) while the
-// reader misses on the moving home every round. A deposed home's copy must never shadow the
-// current home's flushes.
+// reader misses on the moving home every round. A deposed home's
+// copy must never shadow the current home's flushes.
 
 TEST(HomeLrc, MigrationChurnUnderConcurrentReads)
 {

@@ -166,6 +166,7 @@ TEST(SmpNodes, IdlePollParksAndResumes)
             while (ep0.activityWaiterCount() == 0)
                 std::this_thread::yield();
         };
+        std::uint32_t beforeRequest = 0;
         for (int p = 1; p <= 3; ++p) {
             if (poller) {
                 while (phase.load() < p)
@@ -185,6 +186,7 @@ TEST(SmpNodes, IdlePollParksAndResumes)
                 // lock request to its manager.
                 awaitParked();
                 phase.store(2);
+                beforeRequest = ep0.activityStamp();
                 rt.acquire(kLock, AccessMode::Write);
                 rt.release(kLock);
             } else if (p == 3 && rt.self() == 1 && rt.threadId() == 0) {
@@ -194,6 +196,16 @@ TEST(SmpNodes, IdlePollParksAndResumes)
                 phase.store(3);
             }
             rt.barrier(p);
+            if (p == 2 && rt.self() == 1 && rt.threadId() == 0) {
+                // Node 0 released nothing in this phase; only messages
+                // its service thread dispatched can have moved the
+                // word. Checked after the barrier, not after the
+                // grant: the grant leaves inside the dispatch, before
+                // its bump, while this node's barrier arrival is
+                // dispatched on the same thread after that bump.
+                EXPECT_NE(ep0.activityStamp(), beforeRequest)
+                    << "a dispatched message must signal parked pollers";
+            }
         }
     });
 
