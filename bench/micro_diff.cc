@@ -8,9 +8,9 @@
  *
  * An informational, ungated round-trip scenario times one diff through
  * the homeless fetch path on the in-process tier — create, take its
- * image (what a batch reply carries by reference), wrap it back with
- * Diff::fromImage (which checks every run), apply — at the sparse_64w
- * and dense_1024w shapes.
+ * image (what a batch reply carries by reference), and apply that with
+ * Diff::applyImage (which checks each run as it copies it) — at the
+ * sparse_64w and dense_1024w shapes.
  *
  * Emits BENCH_diff.json (tracked in the repo) so the diff-creation
  * throughput trajectory is visible across PRs. Acceptance bars:
@@ -128,7 +128,7 @@ throughput(const std::byte *cur, const std::byte *twin, DiffScan scan,
     return iters / secs;
 }
 
-/** Pages/second for create -> image -> fromImage -> apply. */
+/** Pages/second for create -> image -> applyImage. */
 double
 roundTripThroughput(const std::byte *cur, const std::byte *twin, int iters)
 {
@@ -136,7 +136,7 @@ roundTripThroughput(const std::byte *cur, const std::byte *twin, int iters)
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < iters; ++i) {
         const Diff d = Diff::create(cur, twin, kPageBytes);
-        Diff::fromImage(d.image()).apply(dst.data());
+        Diff::applyImage(d.image(), dst.data());
     }
     const auto end = std::chrono::steady_clock::now();
     if (std::memcmp(dst.data(), cur, kPageBytes) != 0) {
@@ -239,7 +239,7 @@ main()
     json += "\n  ],\n";
 
     // Informational: not read by tools/bench_gate.py.
-    std::printf("\n%-16s %11s  (create -> image -> fromImage -> apply)\n",
+    std::printf("\n%-16s %11s  (create -> image -> applyImage)\n",
                 "round trip", "pg/s");
     json += "  \"roundtrip\": [\n";
     first = true;

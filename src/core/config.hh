@@ -115,8 +115,9 @@ struct ClusterConfig
     std::uint32_t diffGapWords = 0;
 
     /**
-     * Recycle wire payload and twin buffers through the process-wide
+     * Recycle wire payload buffers through the process-wide
      * BufferPool instead of allocating a fresh vector per message.
+     * (Page twins recycle their buffers in the TwinStore regardless.)
      */
     bool pooledBuffers = true;
 

@@ -123,4 +123,19 @@ DiffIndex::restoreFrom(WireReader &r)
     }
 }
 
+void
+sortForApply(std::vector<FetchedDiff> &fetched)
+{
+    std::sort(fetched.begin(), fetched.end(),
+              [](const FetchedDiff &a, const FetchedDiff &b) {
+                  if (a.page != b.page)
+                      return a.page < b.page;
+                  if (a.vtSum != b.vtSum)
+                      return a.vtSum < b.vtSum;
+                  if (a.proc != b.proc)
+                      return a.proc < b.proc;
+                  return a.idx < b.idx;
+              });
+}
+
 } // namespace dsm

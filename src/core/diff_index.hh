@@ -98,6 +98,29 @@ class DiffIndex
     std::size_t count = 0;
 };
 
+/**
+ * One diff of a batch reply, tagged with its page and interval. The
+ * image stays unread until the apply, which checks it and only then
+ * makes the Diff; a duplicate (another responder's copy of a diff
+ * already applied) is dropped unread.
+ */
+struct FetchedDiff
+{
+    PageId page = 0;
+    NodeId proc = 0;
+    std::uint32_t idx = 0;
+    std::uint64_t vtSum = 0;
+    Image image;
+};
+
+/**
+ * Sort @p fetched into apply order: grouped by page, and within each
+ * page a linear extension of happens-before (vector-time sum, then
+ * writer, then interval) — the same per-page order as a global sum
+ * order, since diffs of different pages touch disjoint bytes.
+ */
+void sortForApply(std::vector<FetchedDiff> &fetched);
+
 } // namespace dsm
 
 #endif // DSM_CORE_DIFF_INDEX_HH

@@ -11,6 +11,7 @@ namespace dsm {
 EcRuntime::EcRuntime(const Deps &deps)
     : Runtime(deps),
       pages(deps.arena->numPages(), PageAccess::ReadWrite),
+      twins(deps.arena->numPages(), deps.arena->pageSize()),
       dirty(deps.arena->size(), deps.arena->pageSize())
 {
     DSM_ASSERT(cluster->runtime.model == Model::EC, "config mismatch");
@@ -281,8 +282,7 @@ EcRuntime::doWrite(GlobalAddr addr, const void *src, std::size_t size,
         stats().pageFaults++;
         stats().twinsCreated++;
         stats().twinWordsCopied += words;
-        twins.makePage(p, arena->at(arena->pageBase(p)),
-                       arena->pageSize());
+        twins.makePage(p, arena->at(arena->pageBase(p)));
         pages.setAccess(p, PageAccess::ReadWrite);
     }
     std::memcpy(arena->at(addr), src, size);
@@ -340,8 +340,7 @@ EcRuntime::twinChanges(LockId lock, LockInfo &li)
             if (lo >= hi)
                 continue;
             const std::byte *cur = arena->at(lo);
-            std::byte *twin = twins.pageTwinMut(p).data() +
-                              (lo - page_base);
+            std::byte *twin = twins.pageTwinMut(p) + (lo - page_base);
             compare(cur, twin, hi - lo, off + (lo - addr));
             std::memcpy(twin, cur, hi - lo);
         }

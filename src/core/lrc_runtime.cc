@@ -18,6 +18,7 @@ LrcRuntime::LrcRuntime(const Deps &deps)
             deps.cluster->runtime.trap == TrapMethod::Twinning
                 ? PageAccess::Read
                 : PageAccess::ReadWrite),
+      twins(deps.arena->numPages(), deps.arena->pageSize()),
       dirty(deps.arena->size(), deps.arena->pageSize()),
       homes(deps.nprocs, deps.self,
             deps.cluster->homeMigrateThreshold,
@@ -183,6 +184,9 @@ LrcRuntime::closeInterval()
     // order even when forwarding chains reorder their arrival.
     std::map<NodeId, std::vector<PendingFlush>> flushes;
     std::vector<std::pair<PageId, Diff>> store;
+    // This close's diff images share a few blocks; GC prunes the
+    // close's diffs together, and the blocks go with the last of them.
+    ImageBlocks blocks(modified.size());
     std::unique_lock<std::mutex> hg(nl->home, std::defer_lock);
     if (homeMode())
         hg.lock();
@@ -202,7 +206,7 @@ LrcRuntime::closeInterval()
                        "twin of page %u vanished during interval close",
                        p);
             const std::byte *cur = arena->at(base);
-            const std::byte *twin = twins.pageTwin(p).data();
+            const std::byte *twin = twins.pageTwin(p);
             clock().add(costModel().perWordDiffNs * page_words);
             // Gap coalescing bridges unchanged words with their local
             // contents; at a home those words may carry concurrent
@@ -237,7 +241,7 @@ LrcRuntime::closeInterval()
                              Diff::create(cur, twin,
                                           static_cast<std::uint32_t>(
                                               arena->pageSize()),
-                                          &stats(), scan)});
+                                          &stats(), scan, &blocks)});
                     } else {
                     // Our copy is the home copy and already holds the
                     // writes; stamp the word ordering sums straight
@@ -253,7 +257,7 @@ LrcRuntime::closeInterval()
                     Diff d = Diff::create(cur, twin,
                                           static_cast<std::uint32_t>(
                                               arena->pageSize()),
-                                          &stats(), scan);
+                                          &stats(), scan, &blocks);
                     if (!homeMode()) {
                         store.emplace_back(p, std::move(d));
                     } else {
@@ -826,8 +830,7 @@ LrcRuntime::doWrite(GlobalAddr addr, const void *src, std::size_t size,
                 stats().pageFaults++;
                 stats().twinsCreated++;
                 stats().twinWordsCopied += words;
-                twins.makePage(p, arena->at(arena->pageBase(p)),
-                               arena->pageSize());
+                twins.makePage(p, arena->at(arena->pageBase(p)));
                 pages.setAccess(p, PageAccess::ReadWrite);
             }
             std::memcpy(arena->at(page_lo), bytes + (page_lo - addr),
@@ -894,17 +897,6 @@ LrcRuntime::fetchPageData(PageId page)
 
 namespace {
 
-/** One diff pulled off the wire, tagged with its page and interval. */
-struct FetchedDiff
-{
-    PageId page;
-    NodeId proc;
-    std::uint32_t idx;
-    std::uint64_t vtSum;
-    Diff diff;
-    bool applied = false; ///< survived the duplicate check; store it
-};
-
 /** HomePageRequest payload; shared by the fresh-request and the two
  *  forwarding paths so the wire layout lives in one place. */
 std::vector<std::byte>
@@ -917,20 +909,6 @@ encodePageRequest(NodeId origin, PageId page, const VectorTime &need,
     need.encode(w);
     req_log.encode(w);
     return w.take();
-}
-
-/** Happens-before linear extension (sum order) within each page. */
-void
-sortForApply(std::vector<FetchedDiff> &fetched)
-{
-    std::sort(fetched.begin(), fetched.end(),
-              [](const FetchedDiff &a, const FetchedDiff &b) {
-                  if (a.vtSum != b.vtSum)
-                      return a.vtSum < b.vtSum;
-                  if (a.proc != b.proc)
-                      return a.proc < b.proc;
-                  return a.idx < b.idx;
-              });
 }
 
 } // namespace
@@ -1011,7 +989,7 @@ LrcRuntime::fetchDiffs(PageId page)
                 f.proc = static_cast<NodeId>(r.getU16());
                 f.idx = r.getU32();
                 f.vtSum = r.getU64();
-                f.diff = Diff::fromImage(reply.images[next_image++]);
+                f.image = std::move(reply.images[next_image++]);
                 fetched.push_back(std::move(f));
             }
         }
@@ -1022,33 +1000,41 @@ LrcRuntime::fetchDiffs(PageId page)
         BufferPool::instance().release(std::move(reply.payload));
     }
 
-    // Apply in a linear extension of happens-before (sum order), with
-    // word-granularity merging for concurrent multi-writer diffs.
-    // Sorting globally keeps the per-page subsequences ordered.
+    // Apply each page's diffs in a linear extension of happens-before
+    // (sum order), with word-granularity merging for concurrent
+    // multi-writer diffs. Pages are disjoint, so grouping by page
+    // changes no byte; it takes the page's shard, meta and twin once.
     sortForApply(fetched);
 
+    std::vector<std::pair<const FetchedDiff *, Diff>> applied;
+    applied.reserve(fetched.size());
     std::lock_guard<std::mutex> g(nl->core);
-    for (FetchedDiff &f : fetched) {
-        PageMeta &m = meta(f.page);
-        if (f.idx <= m.copyVt[f.proc])
-            continue; // duplicate from another responder
-        {
-            std::lock_guard<std::mutex> sg(nl->shardFor(f.page));
-            std::byte *base = arena->at(arena->pageBase(f.page));
-            f.diff.apply(base, &stats());
-            if (twins.hasPage(f.page)) {
-                // SMP nodes: a sibling's interval is open on this
-                // page; mirror the remote words into the twin so the
-                // next cur-vs-twin diff still captures exactly the
-                // local writes (same shadowing as the home's
-                // applyDiffGuarded).
-                f.diff.apply(twins.pageTwinMut(f.page).data());
-            }
+    for (auto first = fetched.begin(); first != fetched.end();) {
+        const PageId p = first->page;
+        const auto last =
+            std::find_if(first, fetched.end(),
+                         [p](const FetchedDiff &f) { return f.page != p; });
+        PageMeta &m = meta(p);
+        std::lock_guard<std::mutex> sg(nl->shardFor(p));
+        std::byte *base = arena->at(arena->pageBase(p));
+        // SMP nodes: a sibling's interval may be open on this page;
+        // mirror the remote words into its twin so the next
+        // cur-vs-twin diff still captures exactly the local writes
+        // (same shadowing as the home's applyDiffGuarded).
+        std::byte *twin = twins.hasPage(p) ? twins.pageTwinMut(p) : nullptr;
+        for (auto f = first; f != last; ++f) {
+            if (f->idx <= m.copyVt[f->proc])
+                continue; // duplicate from another responder, unread
+            applied.emplace_back(
+                &*f, Diff::applyImage(f->image, base, &stats()));
+            const Diff &d = applied.back().second;
+            if (twin)
+                d.apply(twin);
+            clock().add(costModel().perWordApplyNs *
+                        ((d.dataBytes() + 3) / 4));
+            m.copyVt[f->proc] = f->idx;
         }
-        clock().add(costModel().perWordApplyNs *
-                    ((f.diff.dataBytes() + 3) / 4));
-        m.copyVt[f.proc] = std::max(m.copyVt[f.proc], f.idx);
-        f.applied = true;
+        first = last;
     }
     for (const BatchPageReq &pr : reqs) {
         PageMeta &m = meta(pr.page);
@@ -1074,12 +1060,8 @@ LrcRuntime::fetchDiffs(PageId page)
     {
         // Save for possible future transmission (Section 5.2).
         std::lock_guard<std::mutex> dg(nl->diff);
-        for (FetchedDiff &f : fetched) {
-            if (f.applied) {
-                diffStore.put(f.page, f.proc, f.idx, f.vtSum,
-                              std::move(f.diff));
-            }
-        }
+        for (auto &[f, d] : applied)
+            diffStore.put(f->page, f->proc, f->idx, f->vtSum, std::move(d));
     }
     applyPiggybackedRecords(precs, reqs);
 }
@@ -1095,11 +1077,11 @@ LrcRuntime::installFullPage(PageId page, WireReader &r)
         // replaces the whole page, so re-base both the copy and the
         // twin on it and replay the local writes on top — the next
         // interval close still captures exactly them.
-        Diff local = Diff::create(base, twins.pageTwin(page).data(),
+        Diff local = Diff::create(base, twins.pageTwin(page),
                                   static_cast<std::uint32_t>(
                                       arena->pageSize()));
-        r.getBytes(twins.pageTwinMut(page).data(), arena->pageSize());
-        std::memcpy(base, twins.pageTwin(page).data(),
+        r.getBytes(twins.pageTwinMut(page), arena->pageSize());
+        std::memcpy(base, twins.pageTwin(page),
                     arena->pageSize());
         local.apply(base);
     } else {
@@ -1373,7 +1355,7 @@ LrcRuntime::applyTsReplies(PageId page,
             // local writes (an unmirrored remote word would be
             // re-stamped as ours).
             std::byte *twin = twins.hasPage(page)
-                                  ? twins.pageTwinMut(page).data()
+                                  ? twins.pageTwinMut(page)
                                   : nullptr;
             for (std::uint32_t b = 0; b < run.numBlocks; ++b) {
                 const std::uint32_t block = run.firstBlock + b;
@@ -1694,7 +1676,7 @@ LrcRuntime::applyFlushAtHome(PageId page, NodeId proc, std::uint32_t idx,
         // Mirror the flush into an open twin so the next cur-vs-twin
         // diff stays exactly our own writes (applyDiffGuarded's doc).
         std::byte *twin = twins.hasPage(page)
-                              ? twins.pageTwinMut(page).data()
+                              ? twins.pageTwinMut(page)
                               : nullptr;
         words = applyDiffGuarded(base, hs.wordSums, diff, vt_sum,
                                  &stats(), twin);

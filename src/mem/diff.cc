@@ -1,5 +1,6 @@
 #include "mem/diff.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -28,13 +29,14 @@ allocImage(std::size_t n, std::byte *&out)
 
 /**
  * Walk one encoded diff at @p r's position, checking every run against
- * the area length and the remaining payload, and return the image it
- * occupies (viewed in place in @p r's buffer).
+ * the area length before handing it to @p take(offset, size), which
+ * consumes the run's bytes from @p r (a short image panics there with
+ * "wire underrun").
  */
-std::span<const std::byte>
-scanImage(WireReader &r)
+template <typename Take>
+void
+walkRuns(WireReader &r, Take take)
 {
-    const std::span<const std::byte> rest = r.unread();
     const std::uint32_t area_len = r.getU32();
     const std::uint32_t nruns = r.getU32();
     for (std::uint32_t i = 0; i < nruns; ++i) {
@@ -42,16 +44,46 @@ scanImage(WireReader &r)
         const std::uint32_t size = r.getU32();
         DSM_ASSERT(std::uint64_t{offset} + size <= area_len,
                    "diff run out of bounds");
-        r.skip(size);
+        take(offset, size);
     }
+}
+
+/** Check one encoded diff at @p r's position and return the image it
+ *  occupies (viewed in place in @p r's buffer). */
+std::span<const std::byte>
+scanImage(WireReader &r)
+{
+    const std::span<const std::byte> rest = r.unread();
+    walkRuns(r, [&](std::uint32_t, std::uint32_t size) { r.skip(size); });
     return rest.first(rest.size() - r.remaining());
 }
 
 } // namespace
 
+std::shared_ptr<const std::byte>
+ImageBlocks::carve(std::size_t n, std::byte *&out)
+{
+    const std::size_t expected = std::max<std::size_t>(left, 1);
+    if (left > 0)
+        --left;
+    if (n > kBlockBytes / 4)
+        return allocImage(n, out);
+    if (cap - used < n) {
+        // Size the block as if the images still to come were as large
+        // as this one.
+        cap = std::min(kBlockBytes, n * expected);
+        block = std::make_shared_for_overwrite<std::byte[]>(cap);
+        used = 0;
+    }
+    out = block.get() + used;
+    // Keep the next image's header words 8-byte aligned.
+    used = std::min(cap, used + ((n + 7) & ~std::size_t{7}));
+    return {block, out};
+}
+
 Diff
 Diff::create(const std::byte *cur, const std::byte *twin, std::uint32_t len,
-             NodeStats *stats, DiffScan scan)
+             NodeStats *stats, DiffScan scan, ImageBlocks *blocks)
 {
     const std::uint32_t words = len / kWordBytes;
 
@@ -107,7 +139,8 @@ Diff::create(const std::byte *cur, const std::byte *twin, std::uint32_t len,
     Diff d;
     d.imageLen = kHeaderBytes + spans.size() * kRunHeaderBytes + data_bytes;
     std::byte *p = nullptr;
-    d.storage = allocImage(d.imageLen, p);
+    d.storage = blocks ? blocks->carve(d.imageLen, p)
+                       : allocImage(d.imageLen, p);
     storeU32(p, len);
     storeU32(p + 4, static_cast<std::uint32_t>(spans.size()));
     p += kHeaderBytes;
@@ -164,12 +197,18 @@ Diff::image() const
 }
 
 Diff
-Diff::fromImage(const Image &img)
+Diff::applyImage(const Image &img, std::byte *dst, NodeStats *stats)
 {
+    // decode(r)'s checks, made run by run as the bytes are copied, so
+    // the image is walked once.
     WireReader r(img.bytes());
-    scanImage(r);
+    walkRuns(r, [&](std::uint32_t offset, std::uint32_t size) {
+        r.getBytes(dst + offset, size);
+    });
     DSM_ASSERT(r.done(), "diff image has %zu trailing bytes",
                r.remaining());
+    if (stats)
+        stats->diffsApplied++;
     Diff d;
     d.imageLen = img.size;
     d.storage = img.data;

@@ -13,24 +13,37 @@
  * so encode() is a single copy of the image, wireBytes() is its size,
  * and apply() walks it in place. Copying a Diff shares the image.
  *
- * Ownership: Diff::create and Diff::decode(r) (home flushes, EC,
- * checkpoint restore) allocate the image, one allocation of exact
- * size. image() hands the image out as a net Image without copying it,
- * and Diff::fromImage wraps a received Image the same way. The
+ * Ownership: an image is immutable once written and is freed when the
+ * last Diff or Image viewing it goes away, normally when barrier-time
+ * GC prunes the last stored diff of its interval. Three places make
+ * images:
+ *  - Diff::create with an ImageBlocks (LRC interval close) carves the
+ *    images of one close's diffs from a few blocks that those diffs
+ *    own together; a block dies with its interval's diffs, which GC
+ *    prunes together, so it never pins another interval's memory.
+ *  - Diff::create without one, and Diff::decode(r) (home flushes, EC,
+ *    checkpoint restore), make one allocation of exact size.
+ *  - Diff::applyImage wraps a received Image without copying it.
+ * image() hands an image out as a net Image without copying it. The
  * homeless fetch path uses the pair: a responder attaches its stored
- * diffs' images to the batch reply, and on the in-process tier the
- * fetcher's stored diff shares the creator's allocation; on the socket
- * tier it shares the receiving frame's image buffer. Either way the
- * bytes live as long as any diff viewing them, normally until GC
- * prunes the last one. Both decode(r) and fromImage check every run
- * against the area length ("diff run out of bounds") and against the
- * bytes at hand ("wire underrun") before returning, so a received
- * image is always safe to walk.
+ * diffs' images to the batch reply; on the in-process tier the
+ * fetcher's stored diff then shares the creator's block, and on the
+ * socket tier the receiving frame's image buffer.
+ *
+ * Checking: a Diff made from outside bytes is always checked before it
+ * exists. decode(r) checks every run against the area length ("diff
+ * run out of bounds") and against the bytes at hand ("wire underrun")
+ * before copying the image. applyImage checks each run the same way
+ * just before copying that run's bytes to the destination, in the one
+ * pass that applies the image, and rejects trailing bytes after the
+ * last run; only then does it return the Diff. So every Diff is safe
+ * to walk.
  */
 
 #ifndef DSM_MEM_DIFF_HH
 #define DSM_MEM_DIFF_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
@@ -68,6 +81,41 @@ struct DiffScan
      * pages, or EC's lock-serialized objects).
      */
     std::uint32_t gapWords = 0;
+};
+
+/**
+ * The image blocks of one LRC interval close. Diff::create carves each
+ * diff's image from the current block, and every diff holds its block
+ * through an aliasing shared_ptr, so one close makes a few allocations
+ * instead of one per diff. Blocks stay at most kBlockBytes (under
+ * glibc's mmap threshold, so they come from the heap, not from fresh
+ * mappings), and a new block is sized for the images still to come,
+ * so a close with one small diff does not pin a whole block. An image
+ * larger than a quarter of a block gets its own exact allocation.
+ *
+ * Make one per close, on the stack: it must not outlive the close, or
+ * a later interval's diffs would share an earlier interval's block.
+ */
+class ImageBlocks
+{
+  public:
+    static constexpr std::size_t kBlockBytes = 64 * 1024;
+
+    /** Blocks for at most @p images images. */
+    explicit ImageBlocks(std::size_t images) : left(images) {}
+
+    ImageBlocks(const ImageBlocks &) = delete;
+    ImageBlocks &operator=(const ImageBlocks &) = delete;
+
+    /** @p n bytes of image storage; @p out is set to their writable
+     *  start. */
+    std::shared_ptr<const std::byte> carve(std::size_t n, std::byte *&out);
+
+  private:
+    std::shared_ptr<std::byte[]> block;
+    std::size_t used = 0;
+    std::size_t cap = 0;
+    std::size_t left; ///< images still to carve (a sizing hint)
 };
 
 class Diff
@@ -168,10 +216,12 @@ class Diff
      *        recorded there.
      * @param scan Scan kernel and run coalescing; the default is
      *        word-exact scanning with the best available kernel.
+     * @param blocks If non-null, the image is carved from these
+     *        blocks; otherwise it is one allocation of its own.
      */
     static Diff create(const std::byte *cur, const std::byte *twin,
                        std::uint32_t len, NodeStats *stats = nullptr,
-                       DiffScan scan = {});
+                       DiffScan scan = {}, ImageBlocks *blocks = nullptr);
 
     /** Copy every run onto @p dst (an area of at least length()). */
     void apply(std::byte *dst, NodeStats *stats = nullptr) const;
@@ -208,9 +258,16 @@ class Diff
      *  message carries out of line. */
     Image image() const;
 
-    /** Wrap the received @p img, which must hold exactly one diff
-     *  image; the diff shares @p img's bytes. */
-    static Diff fromImage(const Image &img);
+    /**
+     * Apply the received @p img, which must hold exactly one diff
+     * image, onto @p dst (an area of at least its length), checking
+     * each run against the area length and the image before copying
+     * its bytes, and return the diff, which shares @p img's bytes.
+     * A malformed image panics; runs before the bad one may already
+     * have been copied.
+     */
+    static Diff applyImage(const Image &img, std::byte *dst,
+                           NodeStats *stats = nullptr);
 
     /** Equal images (same area length, runs and bytes). */
     bool operator==(const Diff &other) const;

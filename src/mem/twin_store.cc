@@ -1,53 +1,100 @@
 #include "mem/twin_store.hh"
 
-#include "util/buffer_pool.hh"
+#include <sys/mman.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
+
 #include "util/logging.hh"
 
 namespace dsm {
 
-void
-TwinStore::makePage(PageId page, const std::byte *src, std::size_t size)
+namespace {
+
+std::size_t
+slotTableBytes(std::size_t num_pages)
 {
-    // Twins churn once per (page, interval); reuse retired capacity.
-    std::vector<std::byte> twin = BufferPool::instance().acquire(size);
-    twin.assign(src, src + size);
-    std::lock_guard<std::mutex> g(structMu);
-    auto [it, inserted] = pageTwins.emplace(page, std::move(twin));
-    DSM_ASSERT(inserted, "page %u already twinned", page);
-    (void)it;
+    return std::max<std::size_t>(num_pages, 1) * sizeof(void *);
 }
 
-const std::vector<std::byte> &
+} // namespace
+
+TwinStore::TwinStore(std::size_t num_pages, std::size_t page_size)
+    : numPages(num_pages), pageBytes(page_size)
+{
+    // Zero-filled on first touch: an all-null slot table that costs
+    // memory only where pages are twinned (the socket tier forks
+    // after building every runtime, so eager tables would add up).
+    void *p = ::mmap(nullptr, slotTableBytes(numPages),
+                     PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                     -1, 0);
+    DSM_ASSERT(p != MAP_FAILED, "mmap(%zu-page twin slot table): %s",
+               numPages, std::strerror(errno));
+    slots = static_cast<PageTwin **>(p);
+}
+
+TwinStore::~TwinStore()
+{
+    ::munmap(slots, slotTableBytes(numPages));
+}
+
+TwinStore::PageTwin *
+TwinStore::twinOf(PageId page) const
+{
+    PageTwin *t = slot(page).load(std::memory_order_acquire);
+    DSM_ASSERT(t != nullptr, "page %u not twinned", page);
+    return t;
+}
+
+void
+TwinStore::makePage(PageId page, const std::byte *src)
+{
+    DSM_ASSERT(page < numPages, "page %u outside the %zu-page arena", page,
+               numPages);
+    DSM_ASSERT(!hasPage(page), "page %u already twinned", page);
+    PageTwin *t = nullptr;
+    {
+        std::lock_guard<std::mutex> g(structMu);
+        if (liveCount == buffers.size()) {
+            auto fresh = std::make_unique<PageTwin>();
+            fresh->bytes = std::make_unique_for_overwrite<std::byte[]>(
+                pageBytes);
+            buffers.push_back(std::move(fresh));
+        }
+        t = buffers[liveCount].get();
+        t->page = page;
+        t->pos = static_cast<std::uint32_t>(liveCount++);
+    }
+    std::memcpy(t->bytes.get(), src, pageBytes);
+    slot(page).store(t, std::memory_order_release);
+}
+
+const std::byte *
 TwinStore::pageTwin(PageId page) const
 {
-    std::lock_guard<std::mutex> g(structMu);
-    auto it = pageTwins.find(page);
-    DSM_ASSERT(it != pageTwins.end(), "page %u not twinned", page);
-    return it->second;
+    return twinOf(page)->bytes.get();
 }
 
-std::vector<std::byte> &
+std::byte *
 TwinStore::pageTwinMut(PageId page)
 {
-    std::lock_guard<std::mutex> g(structMu);
-    auto it = pageTwins.find(page);
-    DSM_ASSERT(it != pageTwins.end(), "page %u not twinned", page);
-    return it->second;
+    return twinOf(page)->bytes.get();
 }
 
 void
 TwinStore::dropPage(PageId page)
 {
-    std::vector<std::byte> retired;
-    {
-        std::lock_guard<std::mutex> g(structMu);
-        auto it = pageTwins.find(page);
-        if (it == pageTwins.end())
-            return;
-        retired = std::move(it->second);
-        pageTwins.erase(it);
-    }
-    BufferPool::instance().release(std::move(retired));
+    PageTwin *t = slot(page).exchange(nullptr, std::memory_order_acq_rel);
+    if (t == nullptr)
+        return;
+    // Swap the buffer with the last live one: it joins the free list
+    // at the head and the live array stays dense.
+    std::lock_guard<std::mutex> g(structMu);
+    const std::size_t last = --liveCount;
+    std::swap(buffers[t->pos], buffers[last]);
+    buffers[t->pos]->pos = t->pos;
+    t->pos = static_cast<std::uint32_t>(last);
 }
 
 std::vector<PageId>
@@ -55,9 +102,9 @@ TwinStore::twinnedPages() const
 {
     std::lock_guard<std::mutex> g(structMu);
     std::vector<PageId> pages;
-    pages.reserve(pageTwins.size());
-    for (const auto &[page, twin] : pageTwins)
-        pages.push_back(page);
+    pages.reserve(liveCount);
+    for (std::size_t i = 0; i < liveCount; ++i)
+        pages.push_back(buffers[i]->page);
     return pages;
 }
 
@@ -88,9 +135,9 @@ void
 TwinStore::clear()
 {
     std::lock_guard<std::mutex> g(structMu);
-    for (auto &[page, twin] : pageTwins)
-        BufferPool::instance().release(std::move(twin));
-    pageTwins.clear();
+    for (std::size_t i = 0; i < liveCount; ++i)
+        slot(buffers[i]->page).store(nullptr, std::memory_order_release);
+    liveCount = 0;
     rangeTwins.clear();
 }
 
@@ -98,10 +145,12 @@ void
 TwinStore::serialize(WireWriter &w) const
 {
     std::lock_guard<std::mutex> g(structMu);
-    w.putU32(static_cast<std::uint32_t>(pageTwins.size()));
-    for (const auto &[page, twin] : pageTwins) {
-        w.putU32(page);
-        w.putBlob(twin);
+    w.putU32(static_cast<std::uint32_t>(liveCount));
+    for (std::size_t i = 0; i < liveCount; ++i) {
+        // The blob layout: a u32 length, then the bytes.
+        w.putU32(buffers[i]->page);
+        w.putU32(static_cast<std::uint32_t>(pageBytes));
+        w.putBytes(buffers[i]->bytes.get(), pageBytes);
     }
     w.putU32(static_cast<std::uint32_t>(rangeTwins.size()));
     for (const auto &[lock, twin] : rangeTwins) {
@@ -113,16 +162,17 @@ TwinStore::serialize(WireWriter &w) const
 void
 TwinStore::restoreFrom(WireReader &r)
 {
-    std::lock_guard<std::mutex> g(structMu);
-    for (auto &[page, twin] : pageTwins)
-        BufferPool::instance().release(std::move(twin));
-    pageTwins.clear();
-    rangeTwins.clear();
+    clear();
     const std::uint32_t npages = r.getU32();
     for (std::uint32_t i = 0; i < npages; ++i) {
         const PageId page = r.getU32();
-        pageTwins.emplace(page, r.getBlob());
+        const std::vector<std::byte> twin = r.getBlob();
+        DSM_ASSERT(twin.size() == pageBytes,
+                   "page %u twin is %zu bytes, pages are %zu", page,
+                   twin.size(), pageBytes);
+        makePage(page, twin.data());
     }
+    std::lock_guard<std::mutex> g(structMu);
     const std::uint32_t nranges = r.getU32();
     for (std::uint32_t i = 0; i < nranges; ++i) {
         const LockId lock = r.getU32();

@@ -1,9 +1,13 @@
 /**
  * @file
- * Process-wide recycler of byte buffers. The encode/apply fast paths
- * (WireWriter payloads, page twins) used to allocate a fresh
- * std::vector<std::byte> per message or twin; the pool hands the
- * capacity of retired buffers back to the next producer instead.
+ * Process-wide recycler of byte buffers. The message fast paths
+ * (WireWriter payloads, and received payloads the endpoint and the
+ * fetch paths hand back) used to allocate a fresh
+ * std::vector<std::byte> per message; the pool hands the capacity of
+ * retired buffers back to the next producer instead. Page twins do
+ * not come from here: the TwinStore recycles its own buffers, since
+ * its live twins alone (about 245 per node on SOR) would overflow the
+ * pool's bound.
  *
  * Two levels: every thread keeps a small LIFO freelist (no
  * synchronization at all on the hot path) that spills to / refills
@@ -15,8 +19,10 @@
  *
  * Disabling the pool (see ClusterConfig::pooledBuffers, the DSM_POOL=0
  * ablation) turns acquire/release into plain allocate/free behind one
- * relaxed atomic load — the seed behavior, without the process-wide
- * lock the previous implementation still paid when disabled.
+ * relaxed atomic load — the seed behavior for message payloads,
+ * without the process-wide lock the previous implementation still
+ * paid when disabled. It no longer touches twins, whose recycling is
+ * the TwinStore's own and has no switch.
  */
 
 #ifndef DSM_UTIL_BUFFER_POOL_HH

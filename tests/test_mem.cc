@@ -9,8 +9,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <set>
+#include <thread>
 
 #include "mem/diff.hh"
 #include "mem/dirty_bits.hh"
@@ -113,9 +118,9 @@ TEST(PageTable, FaultPredicates)
 
 TEST(TwinStore, PageLifecycle)
 {
-    TwinStore twins;
+    TwinStore twins(8, 64);
     std::vector<std::byte> data(64, std::byte{7});
-    twins.makePage(3, data.data(), data.size());
+    twins.makePage(3, data.data());
     EXPECT_TRUE(twins.hasPage(3));
     EXPECT_FALSE(twins.hasPage(2));
     EXPECT_EQ(twins.pageTwin(3)[10], std::byte{7});
@@ -125,9 +130,167 @@ TEST(TwinStore, PageLifecycle)
     EXPECT_FALSE(twins.hasPage(3));
 }
 
+TEST(TwinStore, ChurnAllocatesOnlyPeakLiveBuffers)
+{
+    constexpr std::size_t kPages = 64;
+    TwinStore twins(kPages, 32);
+    std::vector<std::byte> data(32, std::byte{1});
+    Rng rng(0x7717);
+    std::vector<PageId> live;
+    std::size_t peak = 0;
+    for (int step = 0; step < 4000; ++step) {
+        // Bias towards growth early, shrinkage late, so the live set
+        // rises and falls through several peaks.
+        const bool grow = live.empty() ||
+                          (live.size() < kPages &&
+                           rng.below(100) < (step < 2000 ? 60u : 40u));
+        if (grow) {
+            PageId p = static_cast<PageId>(rng.below(kPages));
+            while (twins.hasPage(p))
+                p = (p + 1) % kPages;
+            twins.makePage(p, data.data());
+            live.push_back(p);
+        } else {
+            const std::size_t i = rng.below(live.size());
+            twins.dropPage(live[i]);
+            live[i] = live.back();
+            live.pop_back();
+        }
+        peak = std::max(peak, live.size());
+        ASSERT_EQ(twins.numPageTwins(), live.size());
+        ASSERT_LE(twins.numPageBuffers(), peak);
+    }
+    EXPECT_EQ(twins.numPageBuffers(), peak);
+    // Clearing keeps the buffers for the next interval.
+    twins.clear();
+    EXPECT_EQ(twins.numPageTwins(), 0u);
+    EXPECT_EQ(twins.numPageBuffers(), peak);
+}
+
+TEST(TwinStore, TwinnedPagesMatchesReferenceSet)
+{
+    constexpr std::size_t kPages = 300;
+    TwinStore twins(kPages, 16);
+    std::vector<std::byte> data(16, std::byte{2});
+    Rng rng(0x5e7);
+    std::set<PageId> ref;
+    for (int step = 0; step < 3000; ++step) {
+        const PageId p = static_cast<PageId>(rng.below(kPages));
+        if (ref.count(p)) {
+            twins.dropPage(p);
+            ref.erase(p);
+        } else {
+            twins.makePage(p, data.data());
+            ref.insert(p);
+        }
+        // Dropping an untwinned page is a no-op.
+        const PageId q = static_cast<PageId>(rng.below(kPages));
+        if (!ref.count(q))
+            twins.dropPage(q);
+        if (step % 37 == 0) {
+            const std::vector<PageId> got = twins.twinnedPages();
+            ASSERT_EQ(std::set<PageId>(got.begin(), got.end()), ref);
+            ASSERT_EQ(got.size(), ref.size());
+            for (PageId page = 0; page < kPages; ++page)
+                ASSERT_EQ(twins.hasPage(page), ref.count(page) != 0);
+        }
+    }
+}
+
+TEST(TwinStore, SerializeRestoreKeepsBytesAndLiveSet)
+{
+    constexpr std::size_t kPages = 40;
+    constexpr std::size_t kBytes = 48;
+    TwinStore twins(kPages, kBytes);
+    std::map<PageId, std::vector<std::byte>> ref;
+    for (PageId p : {1u, 5u, 17u, 39u}) {
+        std::vector<std::byte> bytes(kBytes);
+        for (std::size_t i = 0; i < kBytes; ++i)
+            bytes[i] = std::byte{static_cast<unsigned char>(p * 7 + i)};
+        twins.makePage(p, bytes.data());
+        ref[p] = bytes;
+    }
+    twins.dropPage(5);
+    ref.erase(5);
+    twins.pageTwinMut(17)[3] = std::byte{0xee};
+    ref[17][3] = std::byte{0xee};
+    twins.makeRange(9, std::vector<std::byte>(5, std::byte{4}));
+
+    WireWriter w;
+    twins.serialize(w);
+    const std::vector<std::byte> image = w.take();
+
+    // Restore into a store that already holds other twins.
+    TwinStore back(kPages, kBytes);
+    std::vector<std::byte> junk(kBytes, std::byte{0x55});
+    back.makePage(2, junk.data());
+    back.makePage(17, junk.data());
+    WireReader r(image);
+    back.restoreFrom(r);
+    EXPECT_TRUE(r.done());
+
+    const std::vector<PageId> got = back.twinnedPages();
+    EXPECT_EQ(std::set<PageId>(got.begin(), got.end()),
+              (std::set<PageId>{1, 17, 39}));
+    EXPECT_FALSE(back.hasPage(2));
+    for (const auto &[p, bytes] : ref) {
+        ASSERT_TRUE(back.hasPage(p));
+        EXPECT_EQ(std::memcmp(back.pageTwin(p), bytes.data(), kBytes), 0)
+            << "page " << p;
+    }
+    ASSERT_TRUE(back.hasRange(9));
+    EXPECT_EQ(back.rangeTwin(9).size(), 5u);
+}
+
+TEST(TwinStore, ConcurrentMakeDropOnDistinctPages)
+{
+    // Each thread owns a disjoint set of pages (the memory shard
+    // discipline), and also probes every page with hasPage, which
+    // takes no lock.
+    const int threads = 4;
+    constexpr std::size_t kPerThread = 32;
+    constexpr std::size_t kBytes = 64;
+    TwinStore twins(threads * kPerThread, kBytes);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) {
+        workers.emplace_back([&, t] {
+            while (!go.load())
+                std::this_thread::yield();
+            Rng rng(0xc0c0 + t);
+            std::vector<std::byte> src(kBytes,
+                                       std::byte{static_cast<unsigned char>(t)});
+            const PageId first = static_cast<PageId>(t * kPerThread);
+            for (int round = 0; round < 300; ++round) {
+                const PageId p = first + static_cast<PageId>(
+                                             rng.below(kPerThread));
+                if (twins.hasPage(p)) {
+                    EXPECT_EQ(twins.pageTwin(p)[kBytes - 1],
+                              std::byte{static_cast<unsigned char>(t)});
+                    twins.dropPage(p);
+                } else {
+                    twins.makePage(p, src.data());
+                }
+                (void)twins.hasPage(static_cast<PageId>(
+                    rng.below(threads * kPerThread)));
+                if (round % 50 == 0)
+                    (void)twins.twinnedPages();
+            }
+        });
+    }
+    go = true;
+    for (auto &w : workers)
+        w.join();
+    const std::vector<PageId> live = twins.twinnedPages();
+    EXPECT_EQ(live.size(), twins.numPageTwins());
+    for (PageId p : live)
+        EXPECT_TRUE(twins.hasPage(p));
+    EXPECT_LE(twins.numPageBuffers(), threads * kPerThread);
+}
+
 TEST(TwinStore, RangeTwins)
 {
-    TwinStore twins;
+    TwinStore twins(1, 64);
     twins.makeRange(5, std::vector<std::byte>(16, std::byte{1}));
     EXPECT_TRUE(twins.hasRange(5));
     EXPECT_EQ(twins.rangeTwin(5).size(), 16u);
@@ -235,7 +398,9 @@ TEST(Diff, ZeroCopyDecodeOutlivesReply)
     WireReader r(std::span<const std::byte>(reply_bytes, reply_size));
     EXPECT_EQ(r.getU32(), 0xabcdu);
     r.skip(img.size);
-    Diff d = Diff::fromImage(img);
+    std::vector<std::byte> dst = twin;
+    Diff d = Diff::applyImage(img, dst.data());
+    EXPECT_EQ(dst, cur);
     EXPECT_EQ(r.getU32(), 0x1234u);
     EXPECT_TRUE(r.done());
     // The runs are views into the reply, not a copy of it.
@@ -250,7 +415,7 @@ TEST(Diff, ZeroCopyDecodeOutlivesReply)
     img = Image();
     EXPECT_FALSE(watch.expired());
 
-    std::vector<std::byte> dst = twin;
+    dst = twin;
     d.apply(dst.data());
     EXPECT_EQ(dst, cur);
     WireWriter again;
@@ -272,10 +437,14 @@ TEST(Diff, ImageSharesTheCreatorsBytes)
     const Diff d = Diff::create(cur.data(), twin.data(), 256);
 
     // The in-process fetch path: the responder attaches image(), the
-    // fetcher wraps it — one allocation, no copy.
+    // fetcher applies and keeps it — one allocation, no copy.
     const Image img = d.image();
     EXPECT_EQ(img.size, d.wireBytes());
-    const Diff back = Diff::fromImage(img);
+    std::vector<std::byte> dst = twin;
+    NodeStats stats;
+    const Diff back = Diff::applyImage(img, dst.data(), &stats);
+    EXPECT_EQ(dst, cur);
+    EXPECT_EQ(stats.diffsApplied, 1u);
     EXPECT_EQ(back, d);
     EXPECT_EQ((*back.runs().begin()).data.data(),
               (*d.runs().begin()).data.data());
@@ -283,7 +452,71 @@ TEST(Diff, ImageSharesTheCreatorsBytes)
     // The empty diff has an image too (its static header).
     const Diff empty;
     EXPECT_EQ(empty.image().size, Diff::kHeaderBytes);
-    EXPECT_EQ(Diff::fromImage(empty.image()), empty);
+    EXPECT_EQ(Diff::applyImage(empty.image(), dst.data()), empty);
+    EXPECT_EQ(dst, cur);
+}
+
+TEST(ImageBlocks, OneCloseSharesBlocksThatDieWithItsDiffs)
+{
+    constexpr std::uint32_t kPage = 4096;
+    constexpr int kPages = 24;
+    Rng rng(0xb10c);
+    std::vector<std::byte> twin(kPage);
+    for (auto &b : twin)
+        b = std::byte{static_cast<unsigned char>(rng.below(256))};
+
+    std::vector<Diff> diffs;
+    std::vector<std::vector<std::byte>> curs;
+    std::vector<std::byte> big_twin(8 * kPage, std::byte{0});
+    std::vector<std::byte> big_cur(8 * kPage, std::byte{1});
+    Diff big;
+    {
+        // One close; its blocks object goes with it.
+        ImageBlocks blocks(kPages + 1);
+        for (int i = 0; i < kPages; ++i) {
+            std::vector<std::byte> cur = twin;
+            const int writes = 1 + static_cast<int>(rng.below(60));
+            for (int w = 0; w < writes; ++w)
+                cur[rng.below(kPage)] ^= std::byte{0x5a};
+            diffs.push_back(Diff::create(cur.data(), twin.data(), kPage,
+                                         nullptr, {}, &blocks));
+            curs.push_back(std::move(cur));
+        }
+        // An image over a quarter block keeps its own allocation.
+        big = Diff::create(big_cur.data(), big_twin.data(), 8 * kPage,
+                           nullptr, {}, &blocks);
+    }
+    ASSERT_GT(big.wireBytes(), ImageBlocks::kBlockBytes / 4);
+
+    std::set<std::shared_ptr<const std::byte>,
+             std::owner_less<std::shared_ptr<const std::byte>>>
+        owners;
+    std::uint64_t image_bytes = 0;
+    for (int i = 0; i < kPages; ++i) {
+        std::vector<std::byte> dst = twin;
+        diffs[i].apply(dst.data());
+        EXPECT_EQ(dst, curs[i]) << "page " << i;
+        owners.insert(diffs[i].image().data);
+        image_bytes += diffs[i].wireBytes();
+    }
+    // A few blocks, none over the bound, not one allocation per diff.
+    EXPECT_LE(owners.size(),
+              1 + image_bytes / (ImageBlocks::kBlockBytes / 2));
+    EXPECT_LT(owners.size(), static_cast<std::size_t>(kPages));
+    EXPECT_EQ(owners.count(big.image().data), 0u);
+    std::vector<std::byte> big_dst = big_twin;
+    big.apply(big_dst.data());
+    EXPECT_EQ(big_dst, big_cur);
+
+    // The blocks live exactly as long as the diffs carved from them.
+    std::vector<std::weak_ptr<const std::byte>> watch(owners.begin(),
+                                                      owners.end());
+    owners.clear();
+    diffs.pop_back();
+    EXPECT_FALSE(watch.back().expired());
+    diffs.clear();
+    for (const auto &w : watch)
+        EXPECT_TRUE(w.expired());
 }
 
 TEST(Diff, EncodedSizeIsWireBytes)
@@ -344,7 +577,8 @@ TEST(DiffDeathTest, RunOutOfBoundsIsRejected)
             Diff::decode(r);
         },
         "diff run out of bounds");
-    EXPECT_DEATH(Diff::fromImage(imageOf(bytes)),
+    std::vector<std::byte> dst(64);
+    EXPECT_DEATH(Diff::applyImage(imageOf(bytes), dst.data()),
                  "diff run out of bounds");
 }
 
@@ -358,14 +592,18 @@ TEST(DiffDeathTest, TruncatedImageIsRejected)
             Diff::decode(r);
         },
         "wire underrun");
-    EXPECT_DEATH(Diff::fromImage(imageOf(bytes)), "wire underrun");
+    std::vector<std::byte> dst(64);
+    EXPECT_DEATH(Diff::applyImage(imageOf(bytes), dst.data()),
+                 "wire underrun");
 }
 
 TEST(DiffDeathTest, ImageWithTrailingBytesIsRejected)
 {
     std::vector<std::byte> bytes = handEncodedDiff(64, 8, 16);
     bytes.push_back(std::byte{0});
-    EXPECT_DEATH(Diff::fromImage(imageOf(bytes)), "trailing bytes");
+    std::vector<std::byte> dst(64);
+    EXPECT_DEATH(Diff::applyImage(imageOf(bytes), dst.data()),
+                 "trailing bytes");
 }
 
 /** Property: create+apply reconstructs the modified buffer exactly,

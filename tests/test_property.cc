@@ -13,6 +13,7 @@
 #include <numeric>
 
 #include "core/cluster.hh"
+#include "core/diff_index.hh"
 #include "core/page_home.hh"
 #include "core/shared_array.hh"
 #include "util/rng.hh"
@@ -310,6 +311,147 @@ TEST(HomeDiffApplication, ConvergesWithHomelessOrder)
         for (const HistoryDiff &h : history)
             applyDiffGuarded(home.data(), word_sums, h.diff, h.vtSum);
         ASSERT_EQ(home, truth) << "trial " << trial;
+    }
+}
+
+/**
+ * Property: the homeless fetch applies a batch grouped by page (each
+ * page's diffs in happens-before sum order, duplicates from a second
+ * responder dropped unread) and must leave every page's bytes and
+ * copy vector time exactly as applying the whole batch in one global
+ * sum order would, for batches of several pages and several
+ * concurrent writers per page.
+ */
+TEST(HomelessBatchApplication, PageGroupedOrderMatchesGlobalSumOrder)
+{
+    constexpr std::uint32_t kPageBytes = 256;
+    constexpr std::uint32_t kPageWords = kPageBytes / 4;
+    constexpr int kProcs = 4;
+
+    for (std::uint64_t trial = 0; trial < 60; ++trial) {
+        Rng rng(0xba7cull * 977 + trial);
+        const int npages = static_cast<int>(rng.range(2, 5));
+        const PageId first_page = static_cast<PageId>(rng.below(100));
+
+        std::vector<std::vector<std::byte>> base(npages);
+        for (auto &page : base) {
+            page.resize(kPageBytes);
+            for (auto &b : page)
+                b = static_cast<std::byte>(rng.below(256));
+        }
+        std::vector<std::vector<std::byte>> truth = base;
+
+        std::vector<FetchedDiff> batch;
+        std::vector<std::uint32_t> intervals(kProcs, 0);
+        const int rounds = static_cast<int>(rng.range(2, 6));
+        for (int round = 0; round < rounds; ++round) {
+            // This round's closing writers; each closes one interval
+            // covering the pages it wrote, all with one vector time.
+            const int writers = static_cast<int>(rng.range(1, kProcs));
+            const int first_writer =
+                static_cast<int>(rng.below(kProcs - writers + 1));
+            const std::vector<std::vector<std::byte>> twins = truth;
+            for (int w = 0; w < writers; ++w) {
+                const NodeId proc = first_writer + w;
+                const std::uint32_t idx = ++intervals[proc];
+                const std::uint64_t vt_sum =
+                    static_cast<std::uint64_t>(round + 1) * 100 +
+                    rng.below(10);
+                // Concurrent writers touch disjoint words: a band each.
+                const std::uint32_t band = kPageWords / writers;
+                const std::uint32_t lo = w * band * 4;
+                const std::uint32_t hi =
+                    (w == writers - 1) ? kPageBytes : lo + band * 4;
+                for (int pg = 0; pg < npages; ++pg) {
+                    if (rng.below(3) == 0)
+                        continue; // this interval left the page alone
+                    std::vector<std::byte> copy = twins[pg];
+                    const int nwrites = static_cast<int>(rng.range(1, 5));
+                    for (int i = 0; i < nwrites; ++i) {
+                        copy[lo + rng.below(hi - lo)] =
+                            static_cast<std::byte>(rng.below(256));
+                    }
+                    const Diff d = Diff::create(copy.data(),
+                                                twins[pg].data(),
+                                                kPageBytes);
+                    std::copy(copy.begin() + lo, copy.begin() + hi,
+                              truth[pg].begin() + lo);
+                    FetchedDiff f;
+                    f.page = first_page + static_cast<PageId>(pg);
+                    f.proc = proc;
+                    f.idx = idx;
+                    f.vtSum = vt_sum;
+                    f.image = d.image();
+                    batch.push_back(f);
+                    // A second responder sends the same diff again.
+                    if (rng.below(4) == 0)
+                        batch.push_back(f);
+                }
+            }
+        }
+        // Replies arrive from several responders in any order.
+        for (std::size_t i = batch.size(); i > 1; --i)
+            std::swap(batch[i - 1], batch[rng.below(i)]);
+
+        struct Replica
+        {
+            std::vector<std::vector<std::byte>> pages;
+            std::vector<std::vector<std::uint32_t>> copyVt;
+        };
+        auto apply_in_order = [&](std::vector<FetchedDiff> order) {
+            Replica rep{base, std::vector<std::vector<std::uint32_t>>(
+                                  npages,
+                                  std::vector<std::uint32_t>(kProcs, 0))};
+            for (FetchedDiff &f : order) {
+                const int pg = static_cast<int>(f.page - first_page);
+                std::uint32_t &seen = rep.copyVt[pg][f.proc];
+                if (f.idx <= seen)
+                    continue; // duplicate, dropped unread
+                Diff::applyImage(f.image, rep.pages[pg].data());
+                seen = f.idx;
+            }
+            return rep;
+        };
+
+        // Reference: one global happens-before (sum) order.
+        std::vector<FetchedDiff> global = batch;
+        std::stable_sort(global.begin(), global.end(),
+                         [](const FetchedDiff &a, const FetchedDiff &b) {
+                             if (a.vtSum != b.vtSum)
+                                 return a.vtSum < b.vtSum;
+                             if (a.proc != b.proc)
+                                 return a.proc < b.proc;
+                             return a.idx < b.idx;
+                         });
+        std::vector<FetchedDiff> grouped = batch;
+        sortForApply(grouped);
+
+        // Grouped: each page's diffs are contiguous and in the global
+        // order's per-page sequence.
+        for (int pg = 0; pg < npages; ++pg) {
+            const PageId page = first_page + static_cast<PageId>(pg);
+            std::vector<std::pair<NodeId, std::uint32_t>> want, got;
+            for (const FetchedDiff &f : global) {
+                if (f.page == page)
+                    want.emplace_back(f.proc, f.idx);
+            }
+            std::size_t runs = 0;
+            for (std::size_t i = 0; i < grouped.size(); ++i) {
+                if (grouped[i].page != page)
+                    continue;
+                got.emplace_back(grouped[i].proc, grouped[i].idx);
+                if (i == 0 || grouped[i - 1].page != page)
+                    ++runs;
+            }
+            ASSERT_EQ(got, want) << "trial " << trial << " page " << page;
+            ASSERT_LE(runs, 1u) << "trial " << trial << " page " << page;
+        }
+
+        const Replica by_global = apply_in_order(global);
+        const Replica by_page = apply_in_order(grouped);
+        ASSERT_EQ(by_page.pages, by_global.pages) << "trial " << trial;
+        ASSERT_EQ(by_page.copyVt, by_global.copyVt) << "trial " << trial;
+        ASSERT_EQ(by_page.pages, truth) << "trial " << trial;
     }
 }
 
